@@ -1,5 +1,5 @@
-// E-ARENA: the allocation-free Pareto-DP core against the retained
-// pre-arena reference engine (core/pareto_dp.hpp).
+// E-ARENA: the allocation-free Pareto-DP core against the pre-arena
+// reference engine and the scalar merge kernel (tests/oracle/).
 //
 // Three claims, all enforced (exit 1 on violation):
 //   1. Correctness: the arena engine returns byte-identical optima to the
@@ -14,8 +14,9 @@
 //   3. Scaling: dp_threads = 4 is >= 1.5x faster than dp_threads = 1 in
 //      aggregate -- enforced only when the hardware has >= 4 threads
 //      (reported as skipped otherwise; byte-identity is asserted anyway).
-//   4. Kernel: the branch-free SIMD Minkowski merge (kernel=simd, the
-//      default) is >= 1.3x geomean faster than kernel=scalar at
+//   4. Kernel: the engine's branch-free SIMD Minkowski merge is >= 1.3x
+//      geomean faster than the scalar oracle kernel, both run through the
+//      engine's colour pipelines (oracle::kernel_solve), at
 //      dp_threads = 1 on the frontier-dominated full-mode cases, with
 //      byte-identical reports (gate enforced in full mode; smoke sizes are
 //      merge-overhead-dominated and only report the ratio, which ci.sh
@@ -24,8 +25,7 @@
 //      prewarmed ArenaPool scratch -- zero fresh allocations across the
 //      stream, and the scratch's capacity growth flattens to zero once it
 //      has seen the working set (allocation churn, not correctness:
-//      optima stay byte-identical to cold solves and to a kernel=scalar
-//      twin session either way).
+//      optima stay byte-identical to scalar-kernel cold solves either way).
 //
 // --json <path> mirrors every number into BENCH_pareto_arena.json (the
 // first point of the repo's perf trajectory; bench/baselines/ holds the
@@ -44,6 +44,7 @@
 #include "core/pareto_dp.hpp"
 #include "io/json.hpp"
 #include "io/table.hpp"
+#include "oracle/oracle.hpp"
 #include "platform/simd.hpp"
 #include "workload/generator.hpp"
 
@@ -106,26 +107,31 @@ int run(bool smoke) {
     const CruTree tree = random_tree(rng, gen);
     const Colouring colouring(tree);
 
-    ParetoDpOptions reference_opts;
-    reference_opts.arena = false;
-    ParetoDpOptions arena_opts;  // dp_threads = 1, kernel = simd (default)
-    ParetoDpOptions scalar_opts;
-    scalar_opts.kernel = MinkowskiKernel::kScalar;
+    ParetoDpOptions arena_opts;  // dp_threads = 1
     ParetoDpOptions threaded_opts;
     threaded_opts.dp_threads = 4;
 
     const double ref_s = bench::time_run(
-        [&] { static_cast<void>(pareto_dp_solve(colouring, reference_opts)); }, reps);
+        [&] { static_cast<void>(oracle::reference_solve(colouring)); }, reps);
     const double scalar_s = bench::time_run(
-        [&] { static_cast<void>(pareto_dp_solve(colouring, scalar_opts)); }, reps);
+        [&] {
+          static_cast<void>(oracle::kernel_solve(colouring, arena_opts, oracle::Kernel::kScalar));
+        },
+        reps);
+    const double simd_s = bench::time_run(
+        [&] {
+          static_cast<void>(oracle::kernel_solve(colouring, arena_opts, oracle::Kernel::kSimd));
+        },
+        reps);
     const double arena_s = bench::time_run(
         [&] { static_cast<void>(pareto_dp_solve(colouring, arena_opts)); }, reps);
     const double t4_s = bench::time_run(
         [&] { static_cast<void>(pareto_dp_solve(colouring, threaded_opts)); }, reps);
 
-    const ParetoDpResult reference = pareto_dp_solve(colouring, reference_opts);
+    const ParetoDpResult reference = oracle::reference_solve(colouring);
     const ParetoDpResult arena = pareto_dp_solve(colouring, arena_opts);
-    const ParetoDpResult scalar = pareto_dp_solve(colouring, scalar_opts);
+    const ParetoDpResult scalar =
+        oracle::kernel_solve(colouring, arena_opts, oracle::Kernel::kScalar);
     const ParetoDpResult threaded = pareto_dp_solve(colouring, threaded_opts);
 
     if (arena.objective != reference.objective ||
@@ -143,14 +149,14 @@ int run(bool smoke) {
     if (report_json_without_wall(colouring, arena) !=
         report_json_without_wall(colouring, scalar)) {
       std::cerr << "IDENTITY FAILURE: " << c.label
-                << ": kernel=simd report differs from kernel=scalar\n";
+                << ": engine report differs from the scalar-kernel solve\n";
       identical = false;
     }
 
     ref_total += ref_s;
     arena_total += arena_s;
     t4_total += t4_s;
-    const double kernel_x = scalar_s / arena_s;
+    const double kernel_x = scalar_s / simd_s;
     kernel_log_sum += std::log(kernel_x);
 
     const std::size_t regions = colouring.region_roots().size();
@@ -214,9 +220,9 @@ int run(bool smoke) {
   // allocation churn, not speed: every warm DP re-solve leases the pool's
   // prewarmed scratch (zero fresh allocations across the stream) and the
   // scratch stops growing once it has seen the instance's working set. A
-  // kernel=scalar twin session replays the same stream and must land on
-  // bit-identical optima at every step (the warm-path half of the kernel
-  // identity claim above).
+  // scalar-kernel cold solve of every step's instance must land on the
+  // bit-identical optimum (the warm-path half of the kernel identity claim
+  // above).
   {
     Rng rng(99);
     TreeGenOptions gen;
@@ -226,10 +232,7 @@ int run(bool smoke) {
     const CruTree base = random_tree(rng, gen);
     const int steps = smoke ? 8 : 16;
 
-    ParetoDpOptions scalar_opts;
-    scalar_opts.kernel = MinkowskiKernel::kScalar;
     ResolveSession session(base, SolvePlan::pareto_dp());
-    ResolveSession scalar_twin(base, SolvePlan::pareto_dp(scalar_opts));
 
     std::size_t reuses = session.last_stats().pool_reuses;
     std::size_t allocs = session.last_stats().pool_allocs;
@@ -241,7 +244,9 @@ int run(bool smoke) {
       const Perturbation drift = Perturbation::satellite_drift(
           SatelliteId{static_cast<std::size_t>(step) % gen.satellites}, 1.02, 0.99, 1.01);
       session.resolve(drift);
-      scalar_twin.resolve(drift);
+      const Colouring step_colouring(session.tree());
+      const ParetoDpResult scalar =
+          oracle::kernel_solve(step_colouring, {}, oracle::Kernel::kScalar);
       const ResolveStats& stats = session.last_stats();
       warm_steps += stats.path == ResolvePath::kWarm ? 1 : 0;
       reuses += stats.pool_reuses;
@@ -249,11 +254,10 @@ int run(bool smoke) {
       served += stats.pool_served_bytes;
       grown += stats.pool_grown_bytes;
       if (step >= steps / 2) grown_tail += stats.pool_grown_bytes;
-      if (session.current().objective_value != scalar_twin.current().objective_value ||
-          session.current().assignment.cut_nodes() !=
-              scalar_twin.current().assignment.cut_nodes()) {
+      if (session.current().objective_value != scalar.objective ||
+          session.current().assignment.cut_nodes() != scalar.assignment.cut_nodes()) {
         std::cerr << "IDENTITY FAILURE: warm step " << step
-                  << ": kernel=simd optimum differs from kernel=scalar\n";
+                  << ": warm optimum differs from the scalar-kernel cold solve\n";
         ok = false;
       }
     }

@@ -15,7 +15,9 @@
 # executor and the service (-fsanitize=thread via TREESAT_TSAN), so the
 # worker pool is race-checked on every run, and a UBSan build
 # (-fsanitize=undefined via TREESAT_UBSAN, recovery off) of the Pareto
-# merge-kernel and scheduler suites. Setting TREESAT_COV=1 adds a coverage stage: the test
+# merge-kernel, oracle and scheduler suites, and an ASan build
+# (-fsanitize=address through CMAKE_CXX_FLAGS and the linker flags) of the
+# DP, oracle, incremental, snapshot and service suites. Setting TREESAT_COV=1 adds a coverage stage: the test
 # suites rebuilt with --coverage and a per-file line-coverage summary over
 # src/ (gcovr when installed, plain gcov otherwise), so the serialization /
 # simulator / IO / incremental test walls stay measurable. Setting
@@ -25,12 +27,14 @@
 # committed baselines in bench/baselines/ (>25% regression fails the run).
 #
 #   ./ci.sh [build-dir]   # default build dir: build-ci
-#                         # (TSan: <build-dir>-tsan, coverage: <build-dir>-cov)
+#                         # (TSan: <build-dir>-tsan, UBSan: <build-dir>-ubsan,
+#                         #  ASan: <build-dir>-asan, coverage: <build-dir>-cov)
 set -eu
 
 BUILD_DIR="${1:-build-ci}"
 TSAN_DIR="${BUILD_DIR}-tsan"
 UBSAN_DIR="${BUILD_DIR}-ubsan"
+ASAN_DIR="${BUILD_DIR}-asan"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
@@ -165,19 +169,40 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 (cd "$TSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
   -R 'worklist_test|batch_executor_test|determinism_test|plan_test|service_test|service_determinism_test|service_fault_test|snapshot_test|telemetry_test|obs_trace_test|obs_metrics_test')
 
-# UBSan stage: the suites that exercise the Minkowski merge kernels and the
-# scheduler's lock-free deques -- pointer-offset arithmetic in the SIMD
-# dominance scan (platform/simd.hpp), the arena's span indexing, and the
-# overflow-guarded reference reserve are exactly the code where silent UB
-# would masquerade as a wrong-but-plausible frontier. Recovery is off
-# (-fno-sanitize-recover), so any report fails the run.
+# UBSan stage: the suites that exercise the Minkowski merge kernels, the
+# test-tree oracles they are cross-validated against (tests/oracle/: the
+# reference engine with its overflow-guarded reserve, the scalar kernel)
+# and the scheduler's lock-free deques -- pointer-offset arithmetic in the
+# SIMD dominance scan (platform/simd.hpp) and the arena's span indexing are
+# exactly the code where silent UB would masquerade as a
+# wrong-but-plausible frontier. Recovery is off (-fno-sanitize-recover),
+# so any report fails the run.
 cmake -B "$UBSAN_DIR" -S . -DTREESAT_WERROR=ON -DTREESAT_UBSAN=ON \
   -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
 cmake --build "$UBSAN_DIR" -j "$JOBS" \
-  --target pareto_dp_test pareto_merge_reference_test pareto_simd_kernel_test \
+  --target treesat_oracle pareto_dp_test pareto_merge_reference_test pareto_simd_kernel_test \
            worklist_test incremental_resolve_test
 (cd "$UBSAN_DIR" && ctest --output-on-failure -j "$JOBS" \
   -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|worklist_test|incremental_resolve_test')
+
+# ASan stage: the arena holds spans into session cache entries (a region
+# hit's cut is a slice of the cached frontier), so the DP, oracle,
+# incremental, snapshot and service suites run under AddressSanitizer --
+# a dangling entry or an overrun span fails here instead of corrupting a
+# frontier. Configured through the compiler and linker flags; no CMake
+# option of its own. Warnings stay non-fatal here: the first stage already
+# builds everything with -Werror, and GCC 12's -Wmaybe-uninitialized
+# misfires on std::variant moves once -fsanitize=address instruments them.
+cmake -B "$ASAN_DIR" -S . \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address" \
+  -DTREESAT_BUILD_BENCHES=OFF -DTREESAT_BUILD_EXAMPLES=OFF
+cmake --build "$ASAN_DIR" -j "$JOBS" \
+  --target pareto_dp_test pareto_merge_reference_test pareto_simd_kernel_test \
+           incremental_resolve_test snapshot_test serialize_round_trip_test \
+           service_test service_determinism_test service_fault_test
+(cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
+  -R 'pareto_dp_test|pareto_merge_reference_test|pareto_simd_kernel_test|incremental_resolve_test|snapshot_test|serialize_round_trip_test|service_test|service_determinism_test|service_fault_test')
 
 # AVX2 leg (opt-in by hardware: only when the CI host advertises avx2).
 # -DTREESAT_AVX2=ON compiles the wide dominance kernel and defines

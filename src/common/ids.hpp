@@ -11,6 +11,9 @@
 #include <functional>
 #include <limits>
 #include <ostream>
+#include <string>
+
+#include "common/check.hpp"
 
 namespace treesat {
 
@@ -27,9 +30,15 @@ class TaggedIndex {
 
   constexpr TaggedIndex() = default;
   constexpr explicit TaggedIndex(underlying_type value) : value_(value) {}
-  /// Convenience for loop counters; asserts non-negative in debug builds.
+  /// From a size: a loop counter, or a number read from outside. Throws
+  /// InvalidArgument when `value` does not fit 32 bits, instead of wrapping
+  /// to a small valid index.
   constexpr explicit TaggedIndex(std::size_t value)
-      : value_(static_cast<underlying_type>(value)) {}
+      : value_(static_cast<underlying_type>(value)) {
+    if (value > std::numeric_limits<underlying_type>::max()) {
+      throw InvalidArgument("index " + std::to_string(value) + " does not fit a 32-bit id");
+    }
+  }
 
   [[nodiscard]] constexpr underlying_type value() const { return value_; }
   [[nodiscard]] constexpr std::size_t index() const { return value_; }

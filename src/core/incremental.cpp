@@ -1,7 +1,6 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <optional>
 #include <string_view>
@@ -149,23 +148,6 @@ CruTree apply_insert(const CruTree& tree, const SubtreeInsert& ins) {
   }
   return builder.build();
 }
-
-/// The subtree of `root` in preorder, children left to right -- the
-/// canonical node enumeration region caches are keyed and rebound by.
-std::vector<CruId> region_nodes(const CruTree& tree, CruId root) {
-  std::vector<CruId> out;
-  std::vector<CruId> stack{root};
-  while (!stack.empty()) {
-    const CruId v = stack.back();
-    stack.pop_back();
-    out.push_back(v);
-    const std::vector<CruId>& ch = tree.node(v).children;
-    for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.push_back(*it);
-  }
-  return out;
-}
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 }  // namespace
 
@@ -328,18 +310,6 @@ void ResolveSession::solve_current(const Perturbation* p) {
   std::unique_ptr<SolveReport> report;
   switch (resolved.method()) {
     case SolveMethod::kParetoDp: {
-      if (!resolved.options_as<ParetoDpOptions>().arena) {
-        // The plan opted into the pre-arena reference engine; the warm path
-        // runs the arena merge kernels, so reusing it here would not be the
-        // byte-identical cold solve the session documents (the two engines
-        // differ on resource caps and exact-tie cut choices). Cold-solve
-        // through the facade instead.
-        if (p != nullptr) {
-          fresh.cold_reason = "arena=false: the reference engine has no warm path";
-        }
-        report = std::make_unique<SolveReport>(solve(*colouring_, resolved));
-        break;
-      }
       report = std::make_unique<SolveReport>(solve_warm_dp(resolved, fresh));
       if (p != nullptr) {
         if (fresh.regions_reused > 0) {
@@ -400,293 +370,46 @@ void ResolveSession::solve_current(const Perturbation* p) {
   // Age out cache entries that no recent instance matched; a long drift
   // stream would otherwise accumulate one generation of frontiers per step.
   constexpr std::size_t kRetainSteps = 16;
-  for (FrontierCache* cache : {&colour_cache_, &region_cache_}) {
-    for (auto it = cache->begin(); it != cache->end();) {
-      if (it->second.last_used + kRetainSteps < attempt_) {
-        it = cache->erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  fresh.cache_entries = colour_cache_.size() + region_cache_.size();
+  cache_.age(attempt_, kRetainSteps);
+  fresh.cache_entries = cache_.entries();
   fresh.wall_seconds = watch.seconds();
 
   report_ = std::move(report);
   stats_ = std::move(fresh);
 }
 
-namespace {
-
-/// Exact content encoding of one region subtree: region-relative structure
-/// plus the bit patterns of every cost (the words are independent of where
-/// the region sits in a concatenation, so identical regions encode
-/// identically everywhere). Also records each node's *offset-shifted*
-/// position in `position` (absolute id -> canonical position), which is how
-/// cached cuts are relativized. A key match guarantees the frontier
-/// machinery would recompute bit-identical values -- reuse can never change
-/// the result.
-void encode_region(const CruTree& tree, const std::vector<CruId>& nodes, std::size_t offset,
-                   std::vector<std::uint64_t>& words,
-                   std::unordered_map<std::uint32_t, std::uint64_t>& position) {
-  for (std::size_t pos = 0; pos < nodes.size(); ++pos) {
-    const CruNode& nd = tree.node(nodes[pos]);
-    position.emplace(nodes[pos].value(), offset + pos);
-    const std::uint64_t parent_pos =
-        pos == 0 ? ~std::uint64_t{0} : position.at(nd.parent.value()) - offset;
-    words.push_back(parent_pos);
-    words.push_back(nd.is_sensor() ? 1 : 0);
-    words.push_back(bits(nd.host_time));
-    words.push_back(bits(nd.sat_time));
-    words.push_back(bits(nd.comm_up));
-  }
-}
-
-std::size_t fnv1a(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint64_t w : words) {
-    h = (h ^ w) * 0x100000001b3ULL;
-  }
-  return static_cast<std::size_t>(h);
-}
-
-}  // namespace
-
 SolveReport ResolveSession::solve_warm_dp(const SolvePlan& resolved, ResolveStats& fresh) {
   const Stopwatch watch;
   const auto& options = resolved.options_as<ParetoDpOptions>();
-  const std::size_t colours = tree_->satellite_count();
 
-  // Frontier scratch comes from the session pool: retained arenas, span
-  // tables and staging buffers are reused across steps (result-identical
-  // to scratch-free solves; only allocator traffic changes). The per-step
+  // The pooled pipeline comes from the session pool: retained arenas, span
+  // tables and staging buffers are reused across steps (result-identical to
+  // scratch-free solves; only allocator traffic changes). The per-step
   // pool telemetry is the delta over this solve.
   const std::size_t reuses_before = pool_.reuses();
   const std::size_t allocs_before = pool_.allocs();
   const std::size_t served_before = pool_.served_bytes();
   const std::size_t grown_before = pool_.grown_bytes();
   const ArenaPool::Lease lease = pool_.acquire();
-  ParetoScratch* scratch = lease.get();
 
-  std::vector<std::vector<ParetoPoint>> per_colour(colours);
-  for (std::size_t c = 0; c < colours; ++c) {
-    const std::vector<CruId> regions = colouring_->regions_of(SatelliteId{c});
-    if (regions.empty()) {
-      per_colour[c] = {ParetoPoint{}};  // neutral: nothing to place, as cold
-      continue;
-    }
-    ++fresh.colours_total;
-
-    // One span per colour, warm path included: cache hits are part of the
-    // solve's shape, so they show up in the trace too (with cached=1 and a
-    // zero-merge body) instead of disappearing from the profile.
-    obs::Span colour_span(obs::trace(), "dp.colour");
-    colour_span.attr("colour", static_cast<std::uint64_t>(c));
-    colour_span.attr("regions", static_cast<std::uint64_t>(regions.size()));
-
-    // Canonical enumeration of the colour's content: each region's preorder
-    // in regions_of order. The colour key is the regions' keys in sequence,
-    // every region prefixed by its size so distinct region splits cannot
-    // encode identically; the per-region keys double as the region-cache
-    // keys (their words are offset-independent).
-    std::vector<std::vector<CruId>> region_node_lists;
-    std::vector<std::size_t> region_offsets;
-    std::vector<ContentKey> region_keys;
-    std::vector<CruId> concat;
-    std::unordered_map<std::uint32_t, std::uint64_t> position;
-    ContentKey colour_key;
-    for (const CruId r : regions) {
-      std::vector<CruId> nodes = region_nodes(*tree_, r);
-      ContentKey region_key;
-      encode_region(*tree_, nodes, concat.size(), region_key.words, position);
-      region_key.hash = fnv1a(region_key.words);
-      colour_key.words.push_back(nodes.size());
-      colour_key.words.insert(colour_key.words.end(), region_key.words.begin(),
-                              region_key.words.end());
-      region_offsets.push_back(concat.size());
-      region_keys.push_back(std::move(region_key));
-      concat.insert(concat.end(), nodes.begin(), nodes.end());
-      region_node_lists.push_back(std::move(nodes));
-    }
-    colour_key.hash = fnv1a(colour_key.words);
-
-    const auto colour_hit = colour_cache_.find(colour_key);
-    if (colour_hit != colour_cache_.end()) {
-      // The whole merged frontier is served from cache: skip every region
-      // frontier and the Minkowski chain. Rebind canonical positions to
-      // this tree's ids, and keep the colour's region entries warm too -- a
-      // later localized change (e.g. a probe insertion) falls back to them,
-      // so a colour hit must not let aging evict what it still depends on.
-      // Only an entry from an *earlier* step counts as reuse; hitting an
-      // entry cached seconds ago in this same step (two content-identical
-      // colours) is deduplicated fresh work, not state that survived the
-      // perturbation.
-      const bool survived = colour_hit->second.last_used < attempt_;
-      std::vector<ParetoPoint> frontier = colour_hit->second.frontier;
-      for (ParetoPoint& point : frontier) {
-        for (CruId& v : point.cut) v = concat[v.index()];
-      }
-      colour_span.attr("cached", std::uint64_t{1});
-      colour_span.attr("frontier", static_cast<std::uint64_t>(frontier.size()));
-      per_colour[c] = std::move(frontier);
-      colour_hit->second.last_used = attempt_;
-      for (const ContentKey& region_key : region_keys) {
-        const auto region_hit = region_cache_.find(region_key);
-        if (region_hit != region_cache_.end()) {
-          region_hit->second.last_used = attempt_;
-        }
-      }
-      if (survived) {
-        fresh.regions_reused += regions.size();
-        ++fresh.colours_reused;
-      } else {
-        fresh.regions_recomputed += regions.size();
-      }
-      continue;
-    }
-
-    // Colour miss: rebuild the merge chain, serving single regions from the
-    // region-level cache where their content survived (e.g. the untouched
-    // siblings of an inserted probe's region). The fold starts from the
-    // first region's frontier directly -- ⊕ with the neutral frontier is
-    // the identity, bit for bit -- which is exactly the fold the arena
-    // engine's cold path performs, so warm stays byte-identical to cold.
-    std::vector<ParetoPoint> acc;
-    for (std::size_t k = 0; k < regions.size(); ++k) {
-      const std::vector<CruId>& nodes = region_node_lists[k];
-
-      std::vector<ParetoPoint> frontier;
-      const auto region_hit = region_cache_.find(region_keys[k]);
-      if (region_hit != region_cache_.end()) {
-        const bool survived = region_hit->second.last_used < attempt_;
-        frontier = region_hit->second.frontier;
-        for (ParetoPoint& point : frontier) {
-          for (CruId& v : point.cut) v = nodes[v.index()];
-        }
-        region_hit->second.last_used = attempt_;
-        if (survived) {
-          ++fresh.regions_reused;
-        } else {
-          ++fresh.regions_recomputed;  // same-step duplicate: fresh work deduplicated
-        }
-      } else {
-        frontier =
-            region_frontier(*colouring_, regions[k], options.max_frontier, options.kernel,
-                            scratch);
-        CachedFrontier entry;
-        entry.frontier = frontier;
-        for (ParetoPoint& point : entry.frontier) {
-          for (CruId& v : point.cut) {
-            // Absolute id -> region-relative position.
-            v = CruId{position.at(v.value()) - region_offsets[k]};
-          }
-        }
-        entry.last_used = attempt_;
-        region_cache_.emplace(region_keys[k], std::move(entry));
-        ++fresh.regions_recomputed;
-      }
-      if (k == 0) {
-        acc = std::move(frontier);
-      } else {
-        acc = minkowski_frontiers(acc, frontier, options.max_frontier, options.kernel,
-                                  scratch);
-      }
-    }
-
-    CachedFrontier merged;
-    merged.frontier = acc;
-    for (ParetoPoint& point : merged.frontier) {
-      for (CruId& v : point.cut) {
-        v = CruId{position.at(v.value())};  // absolute -> canonical position
-      }
-    }
-    merged.last_used = attempt_;
-    // Store an exact-capacity copy of the key: colour_key.words grew by
-    // push_back and carries slack, and cached_bytes() accounts capacities,
-    // which must match bit for bit on an import (whose keys are copies).
-    ContentKey stored_key;
-    stored_key.words = colour_key.words;
-    stored_key.hash = colour_key.hash;
-    colour_cache_.emplace(std::move(stored_key), std::move(merged));
-    colour_span.attr("cached", std::uint64_t{0});
-    colour_span.attr("frontier", static_cast<std::uint64_t>(acc.size()));
-    per_colour[c] = std::move(acc);
-  }
+  cache_.begin(attempt_);
+  ParetoDpResult r = pareto_dp_solve(*colouring_, options, &cache_, lease.get());
+  const FrontierCache::Tally& tally = cache_.tally();
+  fresh.regions_reused = tally.regions_reused;
+  fresh.regions_recomputed = tally.regions_recomputed;
+  fresh.colours_total = tally.colours_total;
+  fresh.colours_reused = tally.colours_reused;
 
   fresh.pool_reuses = pool_.reuses() - reuses_before;
   fresh.pool_allocs = pool_.allocs() - allocs_before;
   fresh.pool_served_bytes = pool_.served_bytes() - served_before;
   fresh.pool_grown_bytes = pool_.grown_bytes() - grown_before;
-
-  ParetoDpResult r =
-      pareto_dp_solve_from_colour_frontiers(*colouring_, std::move(per_colour), options);
-  DelayBreakdown delay = r.assignment.delay();
-  const double value = delay.objective(options.objective);
-  return SolveReport{std::move(r.assignment), std::move(delay), value,
-                     watch.seconds(),         /*exact=*/true,   SolveMethod::kParetoDp,
+  return SolveReport{std::move(r.assignment), std::move(r.delay), r.objective,
+                     watch.seconds(),         /*exact=*/true,     SolveMethod::kParetoDp,
                      plan_.method(),          r.stats};
 }
 
-std::size_t ResolveSession::cached_bytes() const {
-  // Capacity-true accounting. The earlier version summed .size() for the
-  // frontier and cut vectors and charged nothing for map nodes, so store
-  // byte budgets under-accounted real memory and LRU eviction fired late.
-  // capacity() is deterministic here -- every stored vector is an
-  // exact-capacity copy (entries and imported keys alike; see
-  // solve_warm_dp's stored_key) -- and each entry additionally charges its
-  // hash-node footprint: the pair itself plus the node's chain/hash
-  // overhead (two pointers as a floor). Bucket arrays are deliberately
-  // excluded: bucket_count() depends on insertion/erasure history, which
-  // would make the gauge differ across export/import.
-  constexpr std::size_t kEntryOverhead =
-      sizeof(FrontierCache::value_type) + 2 * sizeof(void*);
-  std::size_t bytes = 0;
-  for (const FrontierCache* cache : {&colour_cache_, &region_cache_}) {
-    for (const auto& [key, cached] : *cache) {
-      bytes += kEntryOverhead;
-      bytes += key.words.capacity() * sizeof(std::uint64_t);
-      bytes += cached.frontier.capacity() * sizeof(ParetoPoint);
-      for (const ParetoPoint& point : cached.frontier) {
-        bytes += point.cut.capacity() * sizeof(CruId);
-      }
-    }
-  }
-  return bytes;
-}
-
-namespace {
-
-/// Node count encoded by a region-cache key: 5 words per node
-/// (parent position, sensor flag, three cost bit patterns) -- see
-/// encode_region. Rejects anything structurally impossible.
-std::size_t region_key_nodes(const std::vector<std::uint64_t>& words) {
-  TS_REQUIRE(!words.empty() && words.size() % 5 == 0,
-             "import_state: region cache key of " << words.size()
-                                                  << " words is not a whole node encoding");
-  return words.size() / 5;
-}
-
-/// Node count encoded by a colour-cache key: a sequence of
-/// [region size][5 words per node...] blocks (see solve_warm_dp).
-std::size_t colour_key_nodes(const std::vector<std::uint64_t>& words) {
-  std::size_t total = 0;
-  std::size_t i = 0;
-  while (i < words.size()) {
-    const std::uint64_t n = words[i];
-    TS_REQUIRE(n >= 1 && n <= words.size(),
-               "import_state: colour cache key declares a region of " << n << " nodes in "
-                                                                      << words.size()
-                                                                      << " words");
-    TS_REQUIRE(i + 1 + 5 * static_cast<std::size_t>(n) <= words.size(),
-               "import_state: colour cache key truncated mid-region");
-    total += static_cast<std::size_t>(n);
-    i += 1 + 5 * static_cast<std::size_t>(n);
-  }
-  TS_REQUIRE(total > 0, "import_state: empty colour cache key");
-  return total;
-}
-
-}  // namespace
+std::size_t ResolveSession::cached_bytes() const { return cache_.bytes(); }
 
 SessionState ResolveSession::export_state() const {
   SessionState out;
@@ -704,24 +427,12 @@ SessionState ResolveSession::export_state() const {
   out.stats = stats_;
   out.stats.wall_seconds = 0.0;  // observation, not state (see SessionState)
   out.attempt = attempt_;
-  const auto dump = [](const FrontierCache& cache) {
-    std::vector<SessionState::CacheEntry> entries;
-    entries.reserve(cache.size());
-    for (const auto& [key, cached] : cache) {
-      entries.push_back({key.words, cached.frontier, cached.last_used});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const SessionState::CacheEntry& a, const SessionState::CacheEntry& b) {
-                return a.key_words < b.key_words;
-              });
-    return entries;
-  };
-  out.colour_cache = dump(colour_cache_);
-  out.region_cache = dump(region_cache_);
+  out.colour_cache = cache_.export_colours();
+  out.region_cache = cache_.export_regions();
   return out;
 }
 
-ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
+ResolveSession::ResolveSession(RestoreTag, SessionState&& state)
     : plan_(parse_plan(state.plan_spec)),
       tree_(std::make_unique<CruTree>(tree_from_text(state.tree_text))),
       colouring_(std::make_unique<Colouring>(*tree_)) {
@@ -741,39 +452,13 @@ ResolveSession::ResolveSession(RestoreTag, const SessionState& state)
   stats_.wall_seconds = 0.0;
   attempt_ = state.attempt;
 
-  const auto adopt = [this](const std::vector<SessionState::CacheEntry>& entries,
-                            bool colour_level, FrontierCache& cache) {
-    for (const SessionState::CacheEntry& e : entries) {
-      const std::size_t nodes =
-          colour_level ? colour_key_nodes(e.key_words) : region_key_nodes(e.key_words);
-      for (const ParetoPoint& point : e.frontier) {
-        for (const CruId v : point.cut) {
-          TS_REQUIRE(v.valid() && v.index() < nodes,
-                     "import_state: cached cut position " << v << " is outside its key's "
-                                                          << nodes << " nodes");
-        }
-      }
-      TS_REQUIRE(e.last_used <= attempt_,
-                 "import_state: cache stamp " << e.last_used << " is ahead of attempt clock "
-                                              << attempt_);
-      ContentKey key;
-      key.words = e.key_words;
-      key.hash = fnv1a(key.words);
-      CachedFrontier cached;
-      cached.frontier = e.frontier;
-      cached.last_used = e.last_used;
-      TS_REQUIRE(cache.emplace(std::move(key), std::move(cached)).second,
-                 "import_state: duplicate cache key");
-    }
-  };
-  adopt(state.colour_cache, /*colour_level=*/true, colour_cache_);
-  adopt(state.region_cache, /*colour_level=*/false, region_cache_);
+  cache_.import(std::move(state.colour_cache), std::move(state.region_cache), attempt_);
 }
 
-ResolveSession ResolveSession::import_state(const SessionState& state) {
+ResolveSession ResolveSession::import_state(SessionState state) {
   TS_REQUIRE(state.has_session(),
              "import_state: tree-only state holds no session to rebuild");
-  return ResolveSession(RestoreTag{}, state);
+  return ResolveSession(RestoreTag{}, std::move(state));
 }
 
 const SolveReport& ResolveSession::resolve(const Perturbation& p) {

@@ -33,18 +33,14 @@
 //     and cold-solved on the BatchExecutor worker pool, which is the
 //     apples-to-apples baseline bench_incremental measures against.
 //
-// Identity guarantee: with a pareto-dp plan the warm result is byte-
-// identical to a cold solve of the same plan on the perturbed instance --
-// cached frontiers are reused only on an exact content match (bit patterns
-// of every cost included), so the merge/sweep consumes the same values a
-// cold run would compute. The cache stores frontiers at the arena engine's
-// materialization boundary (core/pareto_dp.hpp: ParetoPoint with explicit
-// cuts, the form region_frontier emits); the warm fold starts from the
-// first region's frontier and merges with minkowski_frontiers -- the same
-// merge kernel and fold order the cold arena path runs, which is what
-// keeps the two paths bit-equal under the arena representation. For coloured-ssb and branch-bound plans the warm
-// start preserves exactness (same optimal value) but may return the
-// previous cut among equal-valued optima.
+// Identity guarantee: with a pareto-dp plan a warm re-solve *is* a cold
+// solve with a cache -- the session hands its FrontierCache
+// (core/frontier_cache.hpp) to pareto_dp_solve, which reuses a frontier only
+// on an exact content match (bit patterns of every cost included), so the
+// merge/sweep consumes the same values in the same order a cold run would
+// and the result is byte-identical. For coloured-ssb and branch-bound plans
+// the warm start preserves exactness (same optimal value) but may return
+// the previous cut among equal-valued optima.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +48,11 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "core/executor.hpp"
+#include "core/frontier_cache.hpp"
 #include "core/pareto_dp.hpp"
 #include "core/solver.hpp"
 #include "tree/cru_tree.hpp"
@@ -258,10 +254,9 @@ class ArenaPool {
 ///     a pure function of the resolve history, which is what lets the
 ///     serving tier treat snapshot byte sizes as deterministic gauges;
 ///   * of the per-method stats variants only ParetoDpStats is carried
-///     (has_dp_stats) -- it is the one variant downstream accounting reads
-///     (SessionStore::estimate_bytes charges arena_bytes); other methods'
-///     stats are diagnostics of the solve that produced them and restore as
-///     monostate.
+///     (has_dp_stats) -- it is the one variant reports of a restored
+///     session print; other methods' stats are diagnostics of the solve
+///     that produced them and restore as monostate.
 struct SessionState {
   /// Canonical plan spec (core/registry.hpp plan_spec). Empty marks a
   /// tree-only state: a submitted-but-never-solved instance (the serving
@@ -289,17 +284,12 @@ struct SessionState {
   ResolveStats stats;       ///< last_stats(), wall_seconds zeroed
   std::size_t attempt = 0;  ///< solve-attempt clock (cache stamp domain)
 
-  /// One frontier-cache entry: the exact content key words, the cached
-  /// frontier with cuts as canonical preorder positions (the form the cache
-  /// stores internally), and the attempt stamp of its last use.
-  struct CacheEntry {
-    std::vector<std::uint64_t> key_words;
-    std::vector<ParetoPoint> frontier;
-    std::size_t last_used = 0;
-  };
-  /// Cache entries sorted by key words, so exporting the same session twice
-  /// yields identical bytes (unordered_map iteration order must not leak
-  /// into a content-hashed snapshot).
+  /// One frontier-cache entry: the exact content key words, the frontier
+  /// (load/host arrays, cuts as canonical positions), and the attempt stamp
+  /// of its last use. Entries are sorted by key words, so exporting the
+  /// same session twice yields identical bytes (unordered_map iteration
+  /// order must not leak into a content-hashed snapshot).
+  using CacheEntry = FrontierCache::Record;
   std::vector<CacheEntry> colour_cache;
   std::vector<CacheEntry> region_cache;
 
@@ -362,43 +352,20 @@ class ResolveSession {
   /// plan spec, malformed tree, a cut that is not a valid cut of the tree,
   /// cache cut positions out of range of their keys) -- a snapshot that
   /// fails these checks is corrupt and must be rejected, never partially
-  /// adopted.
-  [[nodiscard]] static ResolveSession import_state(const SessionState& state);
+  /// adopted. The cache entries are moved into the session, so pass an
+  /// rvalue when the state is not needed afterwards.
+  [[nodiscard]] static ResolveSession import_state(SessionState state);
 
-  /// Bytes retained by the two frontier caches (points, cut ids and content
-  /// keys) -- the session-side analogue of ParetoDpStats::arena_bytes, and
-  /// what a serving layer charges against its memory budget
+  /// Bytes retained by the two frontier caches (points, cut positions and
+  /// content keys) -- what a serving layer charges against its memory budget
   /// (service/session_store.hpp). Deterministic for a given resolve
   /// history: a sum over entries, independent of hash iteration order.
   [[nodiscard]] std::size_t cached_bytes() const;
 
  private:
-  struct CachedFrontier {
-    /// Frontier with cuts as *preorder positions* into the canonical node
-    /// enumeration the entry was keyed by (one region's preorder, or the
-    /// concatenation of a colour's regions' preorders), so a structurally
-    /// identical region set of a later tree can rebind them.
-    std::vector<ParetoPoint> frontier;
-    /// Stamp of the last solve *attempt* that touched the entry. Attempts
-    /// advance even when a resolve throws and rolls back, so a retry can
-    /// never confuse the aborted attempt's stamps with its own fresh work.
-    std::size_t last_used = 0;
-  };
-  struct ContentKey {
-    std::vector<std::uint64_t> words;  ///< exact content encoding
-    std::size_t hash = 0;
-    friend bool operator==(const ContentKey& a, const ContentKey& b) {
-      return a.words == b.words;
-    }
-  };
-  struct ContentKeyHash {
-    std::size_t operator()(const ContentKey& k) const { return k.hash; }
-  };
-  using FrontierCache = std::unordered_map<ContentKey, CachedFrontier, ContentKeyHash>;
-
   /// import_state's private path: adopts restored state instead of solving.
   struct RestoreTag {};
-  ResolveSession(RestoreTag, const SessionState& state);
+  ResolveSession(RestoreTag, SessionState&& state);
 
   void solve_current(const Perturbation* p);
   [[nodiscard]] SolveReport solve_warm_dp(const SolvePlan& resolved, ResolveStats& fresh);
@@ -410,11 +377,8 @@ class ResolveSession {
   ResolveStats stats_;
   /// Solve attempts, rolled-back failures included (cache stamp domain).
   std::size_t attempt_ = 0;
-  /// Two reuse granularities: whole merged colour frontiers (the expensive
-  /// Minkowski chains) and single region frontiers (useful when only one
-  /// region of a colour changed, e.g. a probe insertion).
-  FrontierCache colour_cache_;
-  FrontierCache region_cache_;
+  /// Whole merged colour frontiers and single region frontiers.
+  FrontierCache cache_;
   /// Retained frontier-arena scratch for solve_warm_dp (see ArenaPool).
   ArenaPool pool_;
 };

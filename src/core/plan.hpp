@@ -29,12 +29,7 @@
 // schedule order: cost (default -- largest instances first, through the
 // scheduler's priority bins) or none (input order). Every combination is
 // byte-identity preserving at any thread count: scheduling decides when
-// an instance runs, never what it computes. ParetoDpOptions::arena (spec
-// key arena=) selects the allocation-free arena engine (default) or the
-// retained pre-arena reference engine used for cross-validation, and
-// ParetoDpOptions::kernel (spec key kernel=scalar|simd) A/B-gates the
-// arena engine's Minkowski merge implementation -- like dp_threads, a
-// how-it-runs knob with byte-identical results either way.
+// an instance runs, never what it computes.
 #pragma once
 
 #include <cstdint>

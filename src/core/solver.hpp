@@ -103,29 +103,4 @@ struct SolveReport {
 [[nodiscard]] std::vector<SolveReport> solve_batch(
     std::span<const Colouring* const> instances, const SolvePlan& plan = {});
 
-// ---------------------------------------------------------------------------
-// Deprecated shim, kept for one release: the pre-plan facade. SolveOptions
-// cannot carry per-algorithm parameters; migrate to SolvePlan.
-
-struct SolveOptions {
-  SolveMethod method = SolveMethod::kColouredSsb;
-  SsbObjective objective = SsbObjective::end_to_end();
-  std::uint64_t seed = 1;  ///< heuristics only
-};
-
-struct SolveSummary {
-  Assignment assignment;
-  DelayBreakdown delay;
-  double objective_value = 0.0;
-  double wall_seconds = 0.0;
-  bool exact = false;
-  std::string method;
-};
-
-/// Equivalent plan of a legacy options struct (method + objective + seed).
-[[nodiscard]] SolvePlan plan_from(const SolveOptions& options);
-
-/// Deprecated: build a SolvePlan instead.
-[[nodiscard]] SolveSummary solve(const Colouring& colouring, const SolveOptions& options);
-
 }  // namespace treesat

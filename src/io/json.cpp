@@ -191,17 +191,6 @@ std::string report_to_json(const SolveReport& report, const ResolveStats& resolv
   return os.str();
 }
 
-
-std::string summary_to_json(const SolveSummary& summary) {
-  std::ostringstream os;
-  os << "{\"method\":\"" << json_escape(summary.method) << "\",\"exact\":"
-     << (summary.exact ? "true" : "false")
-     << ",\"objective\":" << number(summary.objective_value)
-     << ",\"wall_seconds\":" << number(summary.wall_seconds)
-     << ",\"assignment\":" << assignment_to_json(summary.assignment) << '}';
-  return os.str();
-}
-
 std::string sim_to_json(const SimResult& result) {
   std::ostringstream os;
   os << "{\"frames\":[";

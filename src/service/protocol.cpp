@@ -183,7 +183,8 @@ bool RequestObject::bool_at(const std::string& key) const {
 
 std::size_t RequestObject::size_at(const std::string& key) const {
   const double v = number_at(key);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::size_t>(v))) {
+  // 2^64 and up would overflow the conversion below.
+  if (!(v >= 0.0 && v < 0x1p64) || v != static_cast<double>(static_cast<std::size_t>(v))) {
     throw InvalidArgument("request: field '" + key + "' must be a non-negative integer");
   }
   return static_cast<std::size_t>(v);

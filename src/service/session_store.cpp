@@ -43,10 +43,9 @@ std::string session_plan_key(SolvePlan plan) {
   plan.with_executor(ExecutorOptions{});
   if (plan.method() == SolveMethod::kParetoDp) {
     ParetoDpOptions o = plan.options_as<ParetoDpOptions>();
-    // Result-invisible knobs must not split session identity: dp_threads
-    // and kernel change how a solve runs, never what it returns.
+    // A result-invisible knob must not split session identity: dp_threads
+    // changes how a solve runs, never what it returns.
     o.dp_threads = 1;
-    o.kernel = MinkowskiKernel::kSimd;
     plan = SolvePlan::pareto_dp(std::move(o));
   }
   return plan_spec(plan);
@@ -64,13 +63,14 @@ SessionState session_entry_state(const SessionEntry& entry) {
   return state;
 }
 
-SessionEntry session_entry_from_state(const SessionState& state) {
+SessionEntry session_entry_from_state(SessionState state) {
   SessionEntry entry;
   entry.tenant = state.tenant;
   entry.instance = state.instance;
   if (state.has_session()) {
-    entry.session = std::make_unique<ResolveSession>(ResolveSession::import_state(state));
     entry.plan_spec = session_plan_key(parse_plan(state.plan_spec));
+    entry.session =
+        std::make_unique<ResolveSession>(ResolveSession::import_state(std::move(state)));
     entry.bytes = SessionStore::estimate_bytes(entry.session->tree(), entry.session.get());
   } else {
     entry.tree = std::make_unique<CruTree>(tree_from_text(state.tree_text));
@@ -143,12 +143,12 @@ SessionEntry* SessionStore::find(const std::string& tenant, const std::string& i
       std::string bytes = read_file_bytes(path);
       if (faults_.fires(FaultPoint::kSpillTruncate)) bytes = fault_truncate(std::move(bytes));
       if (faults_.fires(FaultPoint::kSpillHashFlip)) bytes = fault_flip_byte(std::move(bytes));
-      const SessionState state = decode_snapshot(bytes);
+      SessionState state = decode_snapshot(bytes);
       TS_REQUIRE(state.tenant == tenant && state.instance == instance,
                  "SessionStore: spill file " << path << " belongs to '" << state.tenant << '/'
                                              << state.instance << "', not '" << tenant << '/'
                                              << instance << "'");
-      entry = session_entry_from_state(state);
+      entry = session_entry_from_state(std::move(state));
       warm = true;
     } catch (const std::exception&) {
       // Corrupt, truncated, unreadable or misowned snapshot: one bad byte
@@ -386,9 +386,6 @@ std::size_t SessionStore::estimate_bytes(const CruTree& tree, const ResolveSessi
   std::size_t bytes = 512 + tree.size() * 160;
   if (session != nullptr) {
     bytes += 256 + session->cached_bytes();
-    if (const auto* dp = session->current().stats_as<ParetoDpStats>()) {
-      bytes += dp->arena_bytes;
-    }
   }
   return bytes;
 }

@@ -6,9 +6,7 @@
 // (core/incremental.hpp). Warm state is memory, so the store meters it:
 // every entry carries a deterministic byte estimate -- the tree's
 // structural footprint plus the session's retained DP state
-// (ResolveSession::cached_bytes(), the frontier-cache analogue of
-// ParetoDpStats::arena_bytes, plus any arena the last report charged) --
-// and when the total exceeds the configured budget the least-recently-used
+// (ResolveSession::cached_bytes(), its two frontier caches) -- and when the total exceeds the configured budget the least-recently-used
 // entries are evicted until it fits.
 //
 // Tiering. With a spill directory configured, budget victims are not
@@ -121,7 +119,7 @@ enum class EvictFate : std::uint8_t {
 /// Inverse of session_entry_state(): rebuilds a SessionEntry (owner, tree
 /// or imported session, canonical plan key, byte estimate) from a decoded
 /// state. The caller assigns the LRU stamp.
-[[nodiscard]] SessionEntry session_entry_from_state(const SessionState& state);
+[[nodiscard]] SessionEntry session_entry_from_state(SessionState state);
 
 class SessionStore {
  public:
@@ -165,8 +163,8 @@ class SessionStore {
   std::vector<EvictedEntry> enforce_budget(const SessionEntry* protect);
 
   /// Deterministic byte estimate: structural tree footprint plus the
-  /// session's retained search state (frontier caches + last reported
-  /// arena bytes).
+  /// session's retained search state (its frontier caches). A solve's
+  /// arena is transient scratch and is not charged.
   [[nodiscard]] static std::size_t estimate_bytes(const CruTree& tree,
                                                   const ResolveSession* session);
 

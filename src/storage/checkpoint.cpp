@@ -211,42 +211,70 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
   obs::Span span(obs::trace(), "checkpoint.restore");
   obs::count("treesat_checkpoint_restores_total", "Checkpoints restored");
   const std::string manifest = read_file_bytes(manifest_path(dir));
-  const std::string_view payload = unframe_payload(kMagic, kVersion, manifest, "checkpoint");
-  wire::LineReader reader(payload);
-
-  const auto u64_line = [&reader](const char* keyword) {
-    const std::vector<std::string_view> toks =
-        wire::split_tokens(reader.next(keyword), keyword);
-    TS_REQUIRE(toks.size() == 2 && toks[0] == keyword,
-               "checkpoint: expected a '" << keyword << "' line");
-    return wire::parse_u64(toks[1], keyword);
-  };
-
   RestoredService out{SessionStore(shards, mem_budget, spill_dir, spill_budget),
                       ServiceTelemetry{}, 0};
-  out.next_id = static_cast<std::size_t>(u64_line("next_id"));
-  out.store.restore_clock(u64_line("clock"));
+  std::vector<EntryRow> resident;
+  std::vector<EntryRow> spilled;
+  // The whole manifest is parsed and its hash checked before any session
+  // file is read or spill file written.
+  parse_framed(kMagic, kVersion, manifest, "checkpoint", [&](wire::LineReader& reader) {
+    const auto u64_line = [&reader](const char* keyword) {
+      const std::vector<std::string_view> toks =
+          wire::split_tokens(reader.next(keyword), keyword);
+      TS_REQUIRE(toks.size() == 2 && toks[0] == keyword,
+                 "checkpoint: expected a '" << keyword << "' line");
+      return wire::parse_u64(toks[1], keyword);
+    };
 
-  const std::vector<std::string_view> counters =
-      wire::split_tokens(reader.next("store_counters"), "store_counters");
-  TS_REQUIRE(counters.size() == 7 && counters[0] == "store_counters",
-             "checkpoint: expected a 'store_counters' line");
-  out.store.restore_counters(
-      static_cast<std::size_t>(wire::parse_u64(counters[1], "lru_evictions")),
-      static_cast<std::size_t>(wire::parse_u64(counters[2], "spills")),
-      static_cast<std::size_t>(wire::parse_u64(counters[3], "spill_reloads")),
-      static_cast<std::size_t>(wire::parse_u64(counters[4], "spill_drops")),
-      static_cast<std::size_t>(wire::parse_u64(counters[5], "spill_faults")),
-      static_cast<std::size_t>(wire::parse_u64(counters[6], "restore_faults")));
+    out.next_id = static_cast<std::size_t>(u64_line("next_id"));
+    out.store.restore_clock(u64_line("clock"));
 
-  const std::vector<std::string_view> service =
-      wire::split_tokens(reader.next("service_counters"), "service_counters");
-  TS_REQUIRE(service.size() == 3 && service[0] == "service_counters",
-             "checkpoint: expected a 'service_counters' line");
-  out.telemetry.requests = static_cast<std::size_t>(wire::parse_u64(service[1], "requests"));
-  out.telemetry.errors = static_cast<std::size_t>(wire::parse_u64(service[2], "errors"));
+    const std::vector<std::string_view> counters =
+        wire::split_tokens(reader.next("store_counters"), "store_counters");
+    TS_REQUIRE(counters.size() == 7 && counters[0] == "store_counters",
+               "checkpoint: expected a 'store_counters' line");
+    out.store.restore_counters(
+        static_cast<std::size_t>(wire::parse_u64(counters[1], "lru_evictions")),
+        static_cast<std::size_t>(wire::parse_u64(counters[2], "spills")),
+        static_cast<std::size_t>(wire::parse_u64(counters[3], "spill_reloads")),
+        static_cast<std::size_t>(wire::parse_u64(counters[4], "spill_drops")),
+        static_cast<std::size_t>(wire::parse_u64(counters[5], "spill_faults")),
+        static_cast<std::size_t>(wire::parse_u64(counters[6], "restore_faults")));
 
-  for (const EntryRow& row : parse_entry_rows(reader, "resident")) {
+    const std::vector<std::string_view> service =
+        wire::split_tokens(reader.next("service_counters"), "service_counters");
+    TS_REQUIRE(service.size() == 3 && service[0] == "service_counters",
+               "checkpoint: expected a 'service_counters' line");
+    out.telemetry.requests = static_cast<std::size_t>(wire::parse_u64(service[1], "requests"));
+    out.telemetry.errors = static_cast<std::size_t>(wire::parse_u64(service[2], "errors"));
+
+    resident = parse_entry_rows(reader, "resident");
+    spilled = parse_entry_rows(reader, "spilled");
+
+    const std::vector<std::string_view> tenants_head =
+        wire::split_tokens(reader.next("tenants"), "tenants");
+    TS_REQUIRE(tenants_head.size() == 2 && tenants_head[0] == "tenants",
+               "checkpoint: expected a 'tenants' line");
+    const std::uint64_t tenant_count = wire::parse_u64(tenants_head[1], "tenant count");
+    for (std::uint64_t i = 0; i < tenant_count; ++i) {
+      const std::vector<std::string_view> toks =
+          wire::split_tokens(reader.next("tenant row"), "tenant row");
+      TS_REQUIRE(toks.size() >= 2 && toks[0] == "tenant", "checkpoint: malformed tenant row");
+      const std::string name = decode_token(std::string(toks[1]));
+      TS_REQUIRE(out.telemetry.tenants.find(name) == out.telemetry.tenants.end(),
+                 "checkpoint: duplicate tenant row '" << name << "'");
+      out.telemetry.tenants[name] = parse_tenant_counters(toks, 2);
+    }
+    const std::vector<std::string_view> overflow =
+        wire::split_tokens(reader.next("overflow"), "overflow");
+    TS_REQUIRE(overflow.size() >= 1 && overflow[0] == "overflow",
+               "checkpoint: expected an 'overflow' line");
+    out.telemetry.overflow = parse_tenant_counters(overflow, 1);
+
+    TS_REQUIRE(reader.next("end") == "end", "checkpoint: expected the 'end' sentinel");
+  });
+
+  for (const EntryRow& row : resident) {
     // Skip-and-count, never abort: a damaged session snapshot costs the
     // restart that one warm entry, not the whole process.
     try {
@@ -254,14 +282,14 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
         throw ResourceLimit("fault injection: restore read of '" + row.tenant + '/' +
                             row.instance + "' failed");
       }
-      const SessionState state = read_snapshot_file(
+      SessionState state = read_snapshot_file(
           dir + "/sessions/" + snapshot_file_name(row.tenant, row.instance));
       TS_REQUIRE(state.tenant == row.tenant && state.instance == row.instance,
                  "checkpoint: session file owner '" << state.tenant << '/' << state.instance
                                                     << "' does not match manifest row '"
                                                     << row.tenant << '/' << row.instance
                                                     << "'");
-      SessionEntry entry = session_entry_from_state(state);
+      SessionEntry entry = session_entry_from_state(std::move(state));
       TS_REQUIRE(entry.bytes == row.bytes,
                  "checkpoint: rebuilt entry '" << row.tenant << '/' << row.instance
                                                << "' estimates " << entry.bytes
@@ -272,7 +300,6 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
     }
   }
 
-  const std::vector<EntryRow> spilled = parse_entry_rows(reader, "spilled");
   if (!spilled.empty()) {
     TS_REQUIRE(out.store.spill_enabled(),
                "checkpoint: holds " << spilled.size()
@@ -303,28 +330,6 @@ RestoredService read_checkpoint(const std::string& dir, std::size_t shards,
     }
   }
 
-  const std::vector<std::string_view> tenants_head =
-      wire::split_tokens(reader.next("tenants"), "tenants");
-  TS_REQUIRE(tenants_head.size() == 2 && tenants_head[0] == "tenants",
-             "checkpoint: expected a 'tenants' line");
-  const std::uint64_t tenant_count = wire::parse_u64(tenants_head[1], "tenant count");
-  for (std::uint64_t i = 0; i < tenant_count; ++i) {
-    const std::vector<std::string_view> toks =
-        wire::split_tokens(reader.next("tenant row"), "tenant row");
-    TS_REQUIRE(toks.size() >= 2 && toks[0] == "tenant", "checkpoint: malformed tenant row");
-    const std::string name = decode_token(std::string(toks[1]));
-    TS_REQUIRE(out.telemetry.tenants.find(name) == out.telemetry.tenants.end(),
-               "checkpoint: duplicate tenant row '" << name << "'");
-    out.telemetry.tenants[name] = parse_tenant_counters(toks, 2);
-  }
-  const std::vector<std::string_view> overflow =
-      wire::split_tokens(reader.next("overflow"), "overflow");
-  TS_REQUIRE(overflow.size() >= 1 && overflow[0] == "overflow",
-             "checkpoint: expected an 'overflow' line");
-  out.telemetry.overflow = parse_tenant_counters(overflow, 1);
-
-  TS_REQUIRE(reader.next("end") == "end", "checkpoint: expected the 'end' sentinel");
-  TS_REQUIRE(reader.done(), "checkpoint: trailing bytes after 'end'");
   // Fold this restore's skips into the store gauge on top of whatever the
   // manifest's persisted counter carried.
   out.store.count_restore_faults(out.restore_faults);

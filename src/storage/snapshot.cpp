@@ -1,9 +1,12 @@
 #include "storage/snapshot.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -71,80 +74,89 @@ void encode_cache(std::string& out, const char* label,
       out += buf;
     }
     out += ' ';
-    out += std::to_string(e.frontier.size());
+    const FrontierCache::Frontier& f = e.frontier;
+    out += std::to_string(f.size());
     out += '\n';
-    for (const ParetoPoint& p : e.frontier) {
+    for (std::size_t i = 0; i < f.size(); ++i) {
       // Point coordinates are IEEE-754 bit patterns in hex: exact by
       // construction and an order of magnitude faster to parse than
       // decimal, which is what keeps restoring a big snapshot cheaper
       // than re-solving it (points are most of a snapshot's bytes).
       out += "point ";
-      out += wire::hex16(bit_pattern(p.load));
+      out += wire::hex16(bit_pattern(f.load()[i]));
       out += ' ';
-      out += wire::hex16(bit_pattern(p.host));
+      out += wire::hex16(bit_pattern(f.host()[i]));
       out += ' ';
-      out += std::to_string(p.cut.size());
+      const std::span<const std::uint32_t> cut = f.cut(i);
+      out += std::to_string(cut.size());
       // Cut positions are strictly increasing (the canonical cut form), so
       // they delta-encode: first absolute, then gaps. Gaps are short where
       // absolute positions are wide -- roughly half the bytes of a warm
       // snapshot are these lists.
-      std::size_t prev = 0;
-      bool first = true;
-      for (const CruId v : p.cut) {
-        TS_CHECK(first || v.index() > prev,
+      for (std::size_t k = 0; k < cut.size(); ++k) {
+        TS_CHECK(k == 0 || cut[k] > cut[k - 1],
                  "snapshot: cached cut positions must be strictly increasing");
         out += ' ';
-        out += std::to_string(first ? v.index() : v.index() - prev);
-        prev = v.index();
-        first = false;
+        out += std::to_string(k == 0 ? cut[k] : cut[k] - cut[k - 1]);
       }
       out += '\n';
     }
   }
 }
 
-std::vector<SessionState::CacheEntry> decode_cache(wire::LineReader& reader,
-                                                   const char* label) {
+/// Capacity to reserve for a count read from the file: counts are
+/// untrusted, so a hostile one must not turn into a huge allocation before
+/// the lines it promises fail to parse.
+std::size_t reserve_hint(std::uint64_t count) {
+  return static_cast<std::size_t>(std::min<std::uint64_t>(count, 4096));
+}
+
+/// One entry's arrays as they are parsed, reused across entries so each
+/// frontier is allocated once, at its exact size.
+struct FrontierScratch {
+  std::vector<double> load;
+  std::vector<double> host;
+  std::vector<std::uint32_t> cut_offsets;
+  std::vector<std::uint32_t> cut;
+};
+
+std::vector<SessionState::CacheEntry> decode_cache(wire::LineReader& reader, const char* label,
+                                                   FrontierScratch& scratch) {
   const std::vector<std::string_view> head =
       wire::split_tokens(reader.next(label), label);
   TS_REQUIRE(head.size() == 2 && head[0] == label,
              "snapshot: expected a '" << label << "' line");
   const std::uint64_t count = wire::parse_u64(head[1], "cache entry count");
   std::vector<SessionState::CacheEntry> entries;
-  entries.reserve(static_cast<std::size_t>(count));
+  entries.reserve(reserve_hint(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    wire::TokenCursor cur(reader.next("cache entry"), "cache entry");
+    wire::TokenCursor cur = reader.cursor("cache entry");
     cur.expect("entry");
     SessionState::CacheEntry entry;
     entry.last_used = static_cast<std::size_t>(cur.take_u64("entry stamp"));
     const std::uint64_t nwords = cur.take_u64("entry word count");
-    entry.key_words.reserve(static_cast<std::size_t>(nwords));
+    entry.key_words.reserve(reserve_hint(nwords));
     for (std::uint64_t w = 0; w < nwords; ++w) {
       entry.key_words.push_back(cur.take_hex64("key word"));
     }
     const std::uint64_t npoints = cur.take_u64("frontier point count");
     cur.finish();
-    entry.frontier.reserve(static_cast<std::size_t>(npoints));
+    scratch.load.clear();
+    scratch.host.clear();
+    scratch.cut_offsets.assign(1, 0);
+    scratch.cut.clear();
     for (std::uint64_t p = 0; p < npoints; ++p) {
-      wire::TokenCursor pt(reader.next("frontier point"), "frontier point");
+      wire::TokenCursor pt = reader.cursor("frontier point");
       pt.expect("point");
-      ParetoPoint point;
-      point.load = from_bit_pattern(pt.take_hex64("point load"));
-      point.host = from_bit_pattern(pt.take_hex64("point host"));
-      const std::uint64_t k = pt.take_u64("point cut size");
-      point.cut.reserve(static_cast<std::size_t>(k));
-      std::uint64_t position = 0;
-      for (std::uint64_t c = 0; c < k; ++c) {
-        const std::uint64_t delta = pt.take_u64("cut position");
-        TS_REQUIRE(c == 0 || delta > 0, "snapshot: cut position delta of zero "
-                                        "(positions must be strictly increasing)");
-        TS_REQUIRE(delta <= UINT64_MAX - position, "snapshot: cut position overflows");
-        position = c == 0 ? delta : position + delta;
-        point.cut.emplace_back(static_cast<std::size_t>(position));
-      }
+      scratch.load.push_back(from_bit_pattern(pt.take_hex64("point load")));
+      scratch.host.push_back(from_bit_pattern(pt.take_hex64("point host")));
+      pt.take_increasing_u32(pt.take_u64("point cut size"), "cut position", scratch.cut);
       pt.finish();
-      entry.frontier.push_back(std::move(point));
+      TS_REQUIRE(scratch.cut.size() <= UINT32_MAX, "snapshot: cache entry cut overflows");
+      scratch.cut_offsets.push_back(static_cast<std::uint32_t>(scratch.cut.size()));
     }
+    entry.frontier = FrontierCache::Frontier(scratch.load, scratch.host, scratch.cut_offsets,
+                                             scratch.cut);
     entries.push_back(std::move(entry));
   }
   return entries;
@@ -230,8 +242,7 @@ std::string encode_payload(const SessionState& state) {
   return out;
 }
 
-SessionState decode_payload(std::string_view payload) {
-  wire::LineReader reader(payload);
+SessionState decode_payload(wire::LineReader& reader) {
   SessionState state;
 
   const std::vector<std::string_view> owner =
@@ -254,10 +265,7 @@ SessionState decode_payload(std::string_view payload) {
   const CruTree tree = tree_from_text(state.tree_text);
 
   const std::string_view line = reader.next("plan or end");
-  if (line == "end") {
-    TS_REQUIRE(reader.done(), "snapshot: trailing bytes after 'end'");
-    return state;
-  }
+  if (line == "end") return state;
 
   state.plan_spec = wire::rest_of_line(line, "plan");
   TS_REQUIRE(!state.plan_spec.empty(), "snapshot: session snapshot with an empty plan");
@@ -322,23 +330,18 @@ SessionState decode_payload(std::string_view payload) {
              "snapshot: expected an 'attempt' line");
   state.attempt = static_cast<std::size_t>(wire::parse_u64(attempt[1], "attempt clock"));
 
-  state.colour_cache = decode_cache(reader, "colour_cache");
-  state.region_cache = decode_cache(reader, "region_cache");
+  FrontierScratch scratch;
+  state.colour_cache = decode_cache(reader, "colour_cache", scratch);
+  state.region_cache = decode_cache(reader, "region_cache", scratch);
 
   TS_REQUIRE(reader.next("end") == "end", "snapshot: expected the 'end' sentinel");
-  TS_REQUIRE(reader.done(), "snapshot: trailing bytes after 'end'");
   return state;
 }
 
 }  // namespace
 
 std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return wire::fnv1a64_update(wire::kFnvOffsetBasis, bytes.data(), bytes.data() + bytes.size());
 }
 
 std::string encode_token(const std::string& raw) {
@@ -401,8 +404,8 @@ std::string frame_payload(std::string_view magic, std::string_view version,
   return out;
 }
 
-std::string_view unframe_payload(std::string_view magic, std::string_view version,
-                                 std::string_view bytes, const char* what) {
+void parse_framed(std::string_view magic, std::string_view version, std::string_view bytes,
+                  const char* what, const std::function<void(wire::LineReader&)>& parse) {
   TS_REQUIRE(!bytes.empty(), what << ": empty file");
 
   const auto take_line = [&bytes, what](const char* field) {
@@ -440,12 +443,24 @@ std::string_view unframe_payload(std::string_view magic, std::string_view versio
                   << " bytes)");
   TS_REQUIRE(bytes.size() == payload_bytes,
              what << ": " << bytes.size() - payload_bytes << " trailing bytes after payload");
-  const std::string_view payload = bytes.substr(0, payload_bytes);
-  const std::uint64_t actual_hash = fnv1a64(payload);
-  TS_REQUIRE(actual_hash == declared_hash,
-             what << ": content hash mismatch (file says " << wire::hex16(declared_hash)
-                  << ", payload hashes to " << wire::hex16(actual_hash) << ")");
-  return payload;
+
+  const auto check_hash = [&](std::uint64_t actual_hash) {
+    TS_REQUIRE(actual_hash == declared_hash,
+               what << ": content hash mismatch (file says " << wire::hex16(declared_hash)
+                    << ", payload hashes to " << wire::hex16(actual_hash) << ")");
+  };
+  // The reader hashes what it parses, so the hash costs no pass of its own
+  // (FNV-1a is a serial chain as long as the parse). A payload that fails
+  // to parse is hashed whole, so corruption still reports as a mismatch.
+  wire::LineReader reader(bytes);
+  try {
+    parse(reader);
+    TS_REQUIRE(reader.done(), what << ": trailing bytes after 'end'");
+  } catch (...) {
+    check_hash(fnv1a64(bytes));
+    throw;
+  }
+  check_hash(reader.hash());
 }
 
 std::string read_file_bytes(const std::string& path) {
@@ -492,7 +507,10 @@ std::string encode_snapshot(const SessionState& state) {
 }
 
 SessionState decode_snapshot(std::string_view bytes) {
-  return decode_payload(unframe_payload(kMagic, kVersion, bytes, "snapshot"));
+  SessionState state;
+  parse_framed(kMagic, kVersion, bytes, "snapshot",
+               [&state](wire::LineReader& reader) { state = decode_payload(reader); });
+  return state;
 }
 
 void write_snapshot_file(const std::string& path, const SessionState& state) {

@@ -38,12 +38,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
 #include "core/incremental.hpp"
 
 namespace treesat {
+
+namespace wire {
+class LineReader;
+}  // namespace wire
 
 /// FNV-1a 64-bit over raw bytes -- the snapshot content hash. Offset basis
 /// and prime match the other FNV users in the tree (stable across
@@ -73,12 +78,16 @@ namespace treesat {
 [[nodiscard]] std::string frame_payload(std::string_view magic, std::string_view version,
                                         std::string_view payload);
 
-/// Strict inverse of frame_payload(): verifies magic, version, byte count
-/// and content hash, then returns a view of the payload. `what` names the
-/// format in error messages ("snapshot", "checkpoint").
-[[nodiscard]] std::string_view unframe_payload(std::string_view magic,
-                                               std::string_view version,
-                                               std::string_view bytes, const char* what);
+/// Strict inverse of frame_payload(): verifies magic, version and byte
+/// count, hands the payload to `parse`, and checks the content hash over
+/// the bytes `parse` read, in the same pass. `parse` must read the whole
+/// payload, and must not act on what it reads (write files, restore
+/// sessions): it runs before the hash is known to match. A parse that
+/// throws on a payload whose hash does not match reports the mismatch
+/// instead. `what` names the format in error messages ("snapshot",
+/// "checkpoint").
+void parse_framed(std::string_view magic, std::string_view version, std::string_view bytes,
+                  const char* what, const std::function<void(wire::LineReader&)>& parse);
 
 /// Whole-file read; throws ResourceLimit when `path` cannot be opened.
 [[nodiscard]] std::string read_file_bytes(const std::string& path);

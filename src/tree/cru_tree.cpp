@@ -110,6 +110,8 @@ CruId CruTreeBuilder::compute(CruId parent, std::string name, double host_time, 
 CruId CruTreeBuilder::sensor(CruId parent, std::string name, SatelliteId satellite,
                              double comm_up) {
   TS_REQUIRE(satellite.valid(), "sensor: invalid satellite id");
+  TS_REQUIRE(satellite.index() <= kMaxSatelliteId,
+             "sensor: satellite id " << satellite << " exceeds the cap of " << kMaxSatelliteId);
   TS_REQUIRE(comm_up >= 0.0, "sensor: negative comm_up " << comm_up);
   CruNode node;
   node.name = std::move(name);

@@ -131,6 +131,13 @@ class CruTree {
 ///   * all costs non-negative; sensors cost-free except comm_up.
 class CruTreeBuilder {
  public:
+  /// Largest satellite id a sensor may name. Solvers size per-colour state
+  /// by satellite count, so an unbounded id (e.g. a wrapped "-1") would
+  /// turn one sensor into billions of colours; every path that adds
+  /// sensors (the tree text parser, subtree insertion, snapshot decode)
+  /// goes through sensor() and this cap.
+  static constexpr std::size_t kMaxSatelliteId = (std::size_t{1} << 16) - 1;
+
   /// Creates the root compute CRU. Must be called exactly once, first.
   /// The root's comm_up is irrelevant (its edge cannot be cut) and fixed at 0.
   CruId root(std::string name, double host_time);
@@ -139,8 +146,8 @@ class CruTreeBuilder {
   CruId compute(CruId parent, std::string name, double host_time, double sat_time,
                 double comm_up);
 
-  /// Adds a sensor leaf under `parent`, wired to `satellite`. `comm_up` is
-  /// the raw-frame transfer time c_{s,parent}.
+  /// Adds a sensor leaf under `parent`, wired to `satellite` (at most
+  /// kMaxSatelliteId). `comm_up` is the raw-frame transfer time c_{s,parent}.
   CruId sensor(CruId parent, std::string name, SatelliteId satellite, double comm_up);
 
   /// Validates and freezes the tree. The builder is left empty.

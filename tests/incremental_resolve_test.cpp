@@ -10,6 +10,8 @@
 // warm_start= spec key.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/solver.hpp"
 #include "workload/drift.hpp"
 #include "workload/generator.hpp"
+#include "oracle/oracle.hpp"
 #include "workload/scenarios.hpp"
 
 namespace treesat {
@@ -138,18 +141,17 @@ TEST(IncrementalResolve, CachedBytesCoverContentPlusPerEntryOverhead) {
     for (const SessionState::CacheEntry& entry : *cache) {
       ++entries;
       content += entry.key_words.size() * sizeof(std::uint64_t);
-      content += entry.frontier.size() * sizeof(ParetoPoint);
-      for (const ParetoPoint& point : entry.frontier) {
-        content += point.cut.size() * sizeof(CruId);
-      }
+      content += 2 * entry.frontier.size() * sizeof(double);
+      content += (entry.frontier.cut_offsets().size() + entry.frontier.cut_positions().size()) *
+                 sizeof(std::uint32_t);
     }
   }
   ASSERT_GT(entries, 0u);
   ASSERT_GT(content, 0u);
   // The measured lower bound: exact content plus a conservative per-entry
-  // node floor (two chain/hash pointers plus the two inline vector
-  // headers the stored pair must at least hold). cached_bytes charges the
-  // full pair and capacity slack on top, hence GE.
+  // node floor (two chain/hash pointers plus the key's vector header and
+  // the entry's two block pointers and counts the stored pair must at
+  // least hold). cached_bytes charges the full pair on top, hence GE.
   const std::size_t floor =
       content + entries * (2 * sizeof(void*) + 2 * sizeof(std::vector<double>));
   EXPECT_GE(session.cached_bytes(), floor);
@@ -191,12 +193,10 @@ TEST(IncrementalResolve, ArenaPoolServesWarmResolvesFromRetainedScratch) {
   EXPECT_EQ(grown_late, 0u);
 }
 
-TEST(IncrementalResolve, ReferenceEngineSessionsColdSolveEveryStep) {
-  // A pareto-dp plan with arena=false opted into the pre-arena reference
-  // engine; the warm path runs the arena merge kernels, so the session must
-  // cold-solve through the facade instead of warm-reusing state the plan's
-  // engine never produces -- and match a standalone reference solve bit for
-  // bit.
+TEST(IncrementalResolve, WarmResolvesMatchTheReferenceEngine) {
+  // The warm path is the engine with a cache; the pre-arena reference
+  // engine (tests/oracle/) shares no code with it and must land on the
+  // same optimum, bit for bit, after every perturbation kind.
   Rng rng(21);
   TreeGenOptions gen;
   gen.compute_nodes = 12;
@@ -204,20 +204,92 @@ TEST(IncrementalResolve, ReferenceEngineSessionsColdSolveEveryStep) {
   gen.policy = SensorPolicy::kClustered;
   const CruTree base = random_tree(rng, gen);
 
-  ParetoDpOptions reference_opts;
-  reference_opts.arena = false;
-  ResolveSession session(base, SolvePlan::pareto_dp(reference_opts));
-  session.resolve(Perturbation::global_drift(1.1, 0.95, 1.0));
+  ResolveSession session(base, SolvePlan::pareto_dp());
+  const CruId attach = session.tree().root();
+  for (const Perturbation& p :
+       {Perturbation::global_drift(1.1, 0.95, 1.0),
+        Perturbation::satellite_drift(SatelliteId{1u}, 1.2, 0.9, 1.0),
+        Perturbation::insert_probe(attach, "oracle_probe", SatelliteId{0u}, 0.5, 0.25, 0.1,
+                                   0.2)}) {
+    session.resolve(p);
+    const Colouring cold_colouring(session.tree());
+    const ParetoDpResult reference = oracle::reference_solve(cold_colouring);
+    EXPECT_EQ(session.current().objective_value, reference.objective) << p.kind_name();
+    EXPECT_EQ(session.current().assignment.cut_nodes(), reference.assignment.cut_nodes())
+        << p.kind_name();
+  }
+}
 
-  const ResolveStats& stats = session.last_stats();
-  EXPECT_EQ(stats.path, ResolvePath::kCold);
-  EXPECT_EQ(stats.cold_reason, "arena=false: the reference engine has no warm path");
-  EXPECT_EQ(stats.regions_reused, 0u);
+TEST(IncrementalResolve, ImportRejectsFrontiersNoSolveCouldHaveStored) {
+  // Restored entries feed the engine directly (colour hits into the sweep,
+  // region hits into the merge kernel), so import enforces the frontier
+  // invariants every stored entry satisfies: non-empty, finite, sorted by
+  // load, cut positions increasing and inside the key.
+  Rng rng(33);
+  TreeGenOptions gen;
+  gen.compute_nodes = 10;
+  gen.satellites = 2;
+  ResolveSession session(random_tree(rng, gen), SolvePlan::pareto_dp());
+  const SessionState good = session.export_state();
+  ASSERT_FALSE(good.region_cache.empty());
+  EXPECT_NO_THROW(static_cast<void>(ResolveSession::import_state(good)));
 
-  const Colouring cold_colouring(session.tree());
-  const ParetoDpResult cold = pareto_dp_solve_reference(cold_colouring, reference_opts);
-  EXPECT_EQ(session.current().objective_value, cold.objective);
-  EXPECT_EQ(session.current().assignment.cut_nodes(), cold.assignment.cut_nodes());
+  // The corruptions edit a copy of the entry's arrays and rebuild its
+  // frontier from them: the Frontier refuses malformed arrays, import
+  // refuses the rest.
+  struct Arrays {
+    std::vector<double> load, host;
+    std::vector<std::uint32_t> offsets, cut;
+  };
+  const auto rejects = [&](const char* what, auto&& corrupt) {
+    SessionState bad = good;
+    SessionState::CacheEntry& e = bad.region_cache.front();
+    const FrontierCache::Frontier& f = e.frontier;
+    Arrays a{{f.load(), f.load() + f.size()},
+             {f.host(), f.host() + f.size()},
+             {f.cut_offsets().begin(), f.cut_offsets().end()},
+             {f.cut_positions().begin(), f.cut_positions().end()}};
+    corrupt(a, e.key_words.size());
+    EXPECT_THROW(
+        {
+          e.frontier = FrontierCache::Frontier(a.load, a.host, a.offsets, a.cut);
+          static_cast<void>(ResolveSession::import_state(bad));
+        },
+        InvalidArgument)
+        << what;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  rejects("nan load", [&](Arrays& a, std::size_t) { a.load.front() = nan; });
+  rejects("inf host", [&](Arrays& a, std::size_t) { a.host.front() = inf; });
+  rejects("empty frontier", [](Arrays& a, std::size_t) {
+    a.load.clear();
+    a.host.clear();
+    a.offsets.assign(1, 0);
+    a.cut.clear();
+  });
+  rejects("unsorted loads", [](Arrays& a, std::size_t) {
+    a.load.push_back(-1.0);
+    a.host.push_back(0.0);
+    a.offsets.push_back(a.offsets.back());
+  });
+  rejects("repeated cut position", [](Arrays& a, std::size_t) {
+    ASSERT_FALSE(a.cut.empty());
+    a.cut.insert(a.cut.begin(), a.cut.front());
+    for (std::uint32_t& offset : a.offsets) offset += offset > 0 ? 1 : 0;
+  });
+  rejects("position outside the key", [](Arrays& a, std::size_t key_words) {
+    a.cut.push_back(static_cast<std::uint32_t>(key_words));
+    a.offsets.back() += 1;
+  });
+  // Offsets that leave the positions block and come back down to its end:
+  // the front and back offsets look right, the slice between them does not.
+  rejects("offsets past the positions", [](Arrays& a, std::size_t) {
+    a.load.push_back(a.load.back());
+    a.host.push_back(a.host.back());
+    a.offsets.back() = static_cast<std::uint32_t>(a.cut.size() + 100);
+    a.offsets.push_back(static_cast<std::uint32_t>(a.cut.size()));
+  });
 }
 
 TEST(IncrementalResolve, NoOpDriftReusesEveryRegionAndKeepsTheOptimum) {

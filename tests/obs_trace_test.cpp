@@ -198,12 +198,12 @@ TEST(TraceDeterminism, GoldenReplayStructureIsShardAndThreadInvariant) {
   EXPECT_EQ(one.metrics_text, many.metrics_text);
 
   // The replay actually produced the service-path span taxonomy README
-  // documents. (Sessions fold colour frontiers through region_frontier /
-  // minkowski_frontiers and finish in the dp.sweep -- the arena-only
-  // spans dp.solve/dp.fold/dp.reconstruct and the worklist never run
-  // here, which is itself part of the warm path's shape.)
+  // documents. (Sessions solve through the same engine as a cold solve,
+  // cache in hand, so the DP phases are the cold ones -- but their colours
+  // run inline, and the worklist never runs here.)
   for (const char* name : {"\"req.solve\"", "\"req.submit\"", "\"store.lookup\"",
-                           "\"dp.colour\"", "\"dp.sweep\"", "\"session.resolve\""}) {
+                           "\"dp.solve\"", "\"dp.colour\"", "\"dp.sweep\"",
+                           "\"dp.reconstruct\"", "\"session.resolve\""}) {
     EXPECT_NE(one.structure.find(name), std::string::npos) << name;
   }
   for (const char* family :

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "core/exhaustive.hpp"
 #include "core/pareto_dp.hpp"
+#include "oracle/oracle.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenarios.hpp"
 
@@ -52,7 +53,7 @@ TEST(ParetoDp, RegionFrontierMatchesEnumeration) {
     const CruTree tree = random_tree(rng, o);
     const Colouring colouring(tree);
     for (const CruId r : colouring.region_roots()) {
-      const auto frontier = region_frontier(colouring, r, 1u << 20);
+      const auto frontier = oracle::engine_region_frontier(colouring, r, 1u << 20);
       const auto all = enumerate_region(colouring, r);
 
       // (a) frontier sorted by load, host strictly decreasing.
@@ -61,7 +62,7 @@ TEST(ParetoDp, RegionFrontierMatchesEnumeration) {
         EXPECT_LT(frontier[i].host, frontier[i - 1].host);
       }
       // (b) every frontier point is achievable.
-      for (const ParetoPoint& p : frontier) {
+      for (const oracle::ParetoPoint& p : frontier) {
         const bool found = std::any_of(all.begin(), all.end(), [&](const auto& q) {
           return std::abs(q.first - p.load) < 1e-9 && std::abs(q.second - p.host) < 1e-9;
         });
@@ -71,7 +72,7 @@ TEST(ParetoDp, RegionFrontierMatchesEnumeration) {
       // (c) no achievable point dominates the frontier.
       for (const auto& [load, host] : all) {
         bool covered = false;
-        for (const ParetoPoint& p : frontier) {
+        for (const oracle::ParetoPoint& p : frontier) {
           if (p.load <= load + 1e-9 && p.host <= host + 1e-9) {
             covered = true;
             break;
@@ -81,7 +82,7 @@ TEST(ParetoDp, RegionFrontierMatchesEnumeration) {
                              << ") dominates the frontier";
       }
       // (d) each point's recorded cut realizes its numbers.
-      for (const ParetoPoint& p : frontier) {
+      for (const oracle::ParetoPoint& p : frontier) {
         double load = 0.0;
         for (const CruId v : p.cut) {
           load += tree.subtree_sat_time(v) + tree.node(v).comm_up;
@@ -98,7 +99,7 @@ TEST(ParetoDp, SensorRegionIsASinglePoint) {
   b.sensor(root, "s", SatelliteId{0u}, 3.5);
   const CruTree tree = b.build();
   const Colouring colouring(tree);
-  const auto frontier = region_frontier(colouring, tree.by_name("s"), 16);
+  const auto frontier = oracle::engine_region_frontier(colouring, tree.by_name("s"), 16);
   ASSERT_EQ(frontier.size(), 1u);
   EXPECT_DOUBLE_EQ(frontier[0].load, 3.5);
   EXPECT_DOUBLE_EQ(frontier[0].host, 0.0);

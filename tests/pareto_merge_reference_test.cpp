@@ -1,6 +1,6 @@
 // Cross-validation wall for the merge-based Minkowski engine: the k-way
-// merge with on-the-fly dominance pruning must reproduce the retained
-// sort-then-scan reference bit for bit -- same (load, host) sequences on
+// merge with on-the-fly dominance pruning must reproduce the sort-then-scan
+// reference engine (tests/oracle/) bit for bit -- same (load, host) sequences on
 // random frontier pairs, byte-identical optima (values *and* cut node
 // sets) on the scenario library and on random instances.
 #include <gtest/gtest.h>
@@ -10,11 +10,14 @@
 #include "common/rng.hpp"
 #include "core/pareto_dp.hpp"
 #include "io/json.hpp"
+#include "oracle/oracle.hpp"
 #include "workload/generator.hpp"
 #include "workload/scenarios.hpp"
 
 namespace treesat {
 namespace {
+
+using oracle::ParetoPoint;
 
 /// A random valid frontier: random (load, host) points with synthetic cut
 /// ids, pruned with the reference rules (sorted by load, host strictly
@@ -46,8 +49,8 @@ TEST(ParetoMerge, MatchesReferenceOn200RandomFrontierPairs) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::vector<ParetoPoint> a = random_frontier(rng, 40);
     const std::vector<ParetoPoint> b = random_frontier(rng, 40);
-    const auto merged = minkowski_frontiers(a, b, std::size_t{1} << 20);
-    const auto reference = reference_minkowski_frontiers(a, b, std::size_t{1} << 20);
+    const auto merged = oracle::merge(a, b, std::size_t{1} << 20);
+    const auto reference = oracle::reference_minkowski(a, b, std::size_t{1} << 20);
     ASSERT_EQ(merged.size(), reference.size()) << "trial " << trial;
     for (std::size_t i = 0; i < merged.size(); ++i) {
       // Bitwise: both engines compute a[i].load + b[j].load in the same
@@ -60,16 +63,15 @@ TEST(ParetoMerge, MatchesReferenceOn200RandomFrontierPairs) {
 }
 
 TEST(ParetoMerge, EmptyInputsYieldEmptyProducts) {
-  // The DP never feeds empty frontiers, but the public API did accept them
-  // (the reference prunes the empty product to an empty frontier) and the
-  // merge must keep doing so instead of reading stream heads that do not
-  // exist.
+  // The DP never feeds empty frontiers, but the merge kernel accepts them
+  // (the reference prunes the empty product to an empty frontier) and must
+  // keep doing so instead of reading stream heads that do not exist.
   Rng rng(0xE117);
   const std::vector<ParetoPoint> a = random_frontier(rng, 8);
   const std::vector<ParetoPoint> none;
-  EXPECT_TRUE(minkowski_frontiers(a, none, 16).empty());
-  EXPECT_TRUE(minkowski_frontiers(none, a, 16).empty());
-  EXPECT_TRUE(minkowski_frontiers(none, none, 16).empty());
+  EXPECT_TRUE(oracle::merge(a, none, 16).empty());
+  EXPECT_TRUE(oracle::merge(none, a, 16).empty());
+  EXPECT_TRUE(oracle::merge(none, none, 16).empty());
 }
 
 TEST(ParetoMerge, RegionFrontiersMatchReferenceOnRandomTrees) {
@@ -82,8 +84,9 @@ TEST(ParetoMerge, RegionFrontiersMatchReferenceOnRandomTrees) {
     const CruTree tree = random_tree(rng, o);
     const Colouring colouring(tree);
     for (const CruId r : colouring.region_roots()) {
-      const auto arena = region_frontier(colouring, r, std::size_t{1} << 20);
-      const auto reference = reference_region_frontier(colouring, r, std::size_t{1} << 20);
+      const auto arena = oracle::engine_region_frontier(colouring, r, std::size_t{1} << 20);
+      const auto reference =
+          oracle::reference_region_frontier(colouring, r, std::size_t{1} << 20);
       ASSERT_EQ(arena.size(), reference.size()) << "trial " << trial;
       for (std::size_t i = 0; i < arena.size(); ++i) {
         EXPECT_EQ(arena[i].load, reference[i].load);
@@ -102,11 +105,8 @@ TEST(ParetoMerge, ByteIdenticalOptimaOnTheScenarioLibrary) {
   trees.push_back(paper_running_example());
   for (const CruTree& tree : trees) {
     const Colouring colouring(tree);
-    ParetoDpOptions arena_opts;
-    ParetoDpOptions reference_opts;
-    reference_opts.arena = false;
-    const ParetoDpResult arena = pareto_dp_solve(colouring, arena_opts);
-    const ParetoDpResult reference = pareto_dp_solve(colouring, reference_opts);
+    const ParetoDpResult arena = pareto_dp_solve(colouring);
+    const ParetoDpResult reference = oracle::reference_solve(colouring);
     EXPECT_EQ(arena.objective, reference.objective);  // bitwise
     EXPECT_EQ(arena.assignment.cut_nodes(), reference.assignment.cut_nodes());
     // The whole serialized assignment, byte for byte.
@@ -131,10 +131,8 @@ TEST(ParetoMerge, ByteIdenticalOptimaOnRandomInstances) {
                                 : SensorPolicy::kScattered;
     const CruTree tree = random_tree(rng, o);
     const Colouring colouring(tree);
-    ParetoDpOptions reference_opts;
-    reference_opts.arena = false;
     const ParetoDpResult arena = pareto_dp_solve(colouring);
-    const ParetoDpResult reference = pareto_dp_solve(colouring, reference_opts);
+    const ParetoDpResult reference = oracle::reference_solve(colouring);
     EXPECT_EQ(arena.objective, reference.objective) << "trial " << trial;
     EXPECT_EQ(arena.assignment.cut_nodes(), reference.assignment.cut_nodes())
         << "trial " << trial;

@@ -1,9 +1,8 @@
-// Property wall for the branch-free SIMD Minkowski kernel
-// (MinkowskiKernel::kSimd): it must reproduce the scalar merge bit for bit
-// -- points, cuts, counters and throw behaviour -- on random blocked
-// frontiers, on tie-heavy integer grids (equal product loads / equal
-// hosts), on single-point frontiers, and it must share the scalar seam's
-// rejection of non-finite coordinates. The SIMD primitive itself
+// Property wall for the engine's branch-free SIMD Minkowski kernel: it must
+// reproduce the scalar merge (tests/oracle/) bit for bit -- points, cuts,
+// counters and throw behaviour -- on random blocked frontiers, on
+// tie-heavy integer grids (equal product loads / equal hosts), on
+// single-point frontiers, and through whole solves. The SIMD primitive itself
 // (platform/simd.hpp dominated_prefix) is unit-tested against its scalar
 // specification, non-monotone and NaN inputs included.
 #include <gtest/gtest.h>
@@ -13,12 +12,17 @@
 #include <limits>
 
 #include "common/rng.hpp"
+#include "core/frontier_cache.hpp"
 #include "core/pareto_dp.hpp"
+#include "oracle/oracle.hpp"
 #include "platform/simd.hpp"
 #include "workload/generator.hpp"
 
 namespace treesat {
 namespace {
+
+using oracle::Kernel;
+using oracle::ParetoPoint;
 
 constexpr std::size_t kBig = std::size_t{1} << 20;
 
@@ -76,8 +80,8 @@ TEST(ParetoSimdKernel, MatchesScalarOnRandomBlockedFrontiers) {
   for (int trial = 0; trial < 150; ++trial) {
     const std::vector<ParetoPoint> a = random_frontier(rng, 160, /*integral=*/false);
     const std::vector<ParetoPoint> b = random_frontier(rng, 160, /*integral=*/false);
-    const auto simd = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kSimd);
-    const auto scalar = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kScalar);
+    const auto simd = oracle::merge(a, b, kBig, Kernel::kSimd);
+    const auto scalar = oracle::merge(a, b, kBig, Kernel::kScalar);
     expect_bitwise_equal(simd, scalar, trial);
   }
 }
@@ -91,9 +95,9 @@ TEST(ParetoSimdKernel, MatchesScalarAndReferenceOnTieHeavyIntegerGrids) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::vector<ParetoPoint> a = random_frontier(rng, 10, /*integral=*/true);
     const std::vector<ParetoPoint> b = random_frontier(rng, 10, /*integral=*/true);
-    const auto simd = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kSimd);
-    const auto scalar = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kScalar);
-    const auto reference = reference_minkowski_frontiers(a, b, kBig);
+    const auto simd = oracle::merge(a, b, kBig, Kernel::kSimd);
+    const auto scalar = oracle::merge(a, b, kBig, Kernel::kScalar);
+    const auto reference = oracle::reference_minkowski(a, b, kBig);
     expect_bitwise_equal(simd, scalar, trial);
     expect_bitwise_equal(simd, reference, trial);
   }
@@ -108,40 +112,10 @@ TEST(ParetoSimdKernel, SinglePointFrontiers) {
                                std::pair{many, std::vector<ParetoPoint>{lone}},
                                std::pair{std::vector<ParetoPoint>{lone},
                                          std::vector<ParetoPoint>{lone}}}) {
-      const auto simd = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kSimd);
-      const auto scalar = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kScalar);
+      const auto simd = oracle::merge(a, b, kBig, Kernel::kSimd);
+      const auto scalar = oracle::merge(a, b, kBig, Kernel::kScalar);
       expect_bitwise_equal(simd, scalar, trial);
     }
-  }
-}
-
-TEST(ParetoSimdKernel, RejectsNonFiniteCoordinates) {
-  const std::vector<ParetoPoint> good{{1.0, 2.0, {}}, {3.0, 1.0, {}}};
-  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity(),
-                           -std::numeric_limits<double>::infinity()}) {
-    for (const bool poison_load : {true, false}) {
-      std::vector<ParetoPoint> poisoned = good;
-      (poison_load ? poisoned[1].load : poisoned[1].host) = bad;
-      for (const MinkowskiKernel kernel : {MinkowskiKernel::kSimd, MinkowskiKernel::kScalar}) {
-        EXPECT_THROW((void)minkowski_frontiers(poisoned, good, kBig, kernel),
-                     InvalidArgument);
-        EXPECT_THROW((void)minkowski_frontiers(good, poisoned, kBig, kernel),
-                     InvalidArgument);
-      }
-    }
-  }
-}
-
-TEST(ParetoSimdKernel, RejectsUnsortedFrontiers) {
-  // Load-ascending order is the invariant every frontier producer
-  // maintains and the lazy stream activation relies on; the public seam
-  // rejects violations loudly instead of merging garbage.
-  const std::vector<ParetoPoint> unsorted{{5.0, 1.0, {}}, {2.0, 3.0, {}}};
-  const std::vector<ParetoPoint> good{{1.0, 2.0, {}}, {3.0, 1.0, {}}};
-  for (const MinkowskiKernel kernel : {MinkowskiKernel::kSimd, MinkowskiKernel::kScalar}) {
-    EXPECT_THROW((void)minkowski_frontiers(unsorted, good, kBig, kernel), InvalidArgument);
-    EXPECT_THROW((void)minkowski_frontiers(good, unsorted, kBig, kernel), InvalidArgument);
   }
 }
 
@@ -151,17 +125,18 @@ TEST(ParetoSimdKernel, MaxFrontierThrowsAtTheSamePoint) {
   Rng rng(0xCAFE);
   const std::vector<ParetoPoint> a = random_frontier(rng, 80, false);
   const std::vector<ParetoPoint> b = random_frontier(rng, 80, false);
-  const std::size_t kept = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kScalar).size();
+  const std::size_t kept = oracle::merge(a, b, kBig, Kernel::kScalar).size();
   ASSERT_GT(kept, 1u);
-  for (const MinkowskiKernel kernel : {MinkowskiKernel::kSimd, MinkowskiKernel::kScalar}) {
-    EXPECT_THROW((void)minkowski_frontiers(a, b, kept - 1, kernel), ResourceLimit);
-    EXPECT_EQ(minkowski_frontiers(a, b, kept, kernel).size(), kept);
+  for (const Kernel kernel : {Kernel::kSimd, Kernel::kScalar}) {
+    EXPECT_THROW((void)oracle::merge(a, b, kept - 1, kernel), ResourceLimit);
+    EXPECT_EQ(oracle::merge(a, b, kept, kernel).size(), kept);
   }
 }
 
 TEST(ParetoSimdKernel, FullSolvesAreByteIdenticalAcrossKernels) {
-  // End to end through pareto_dp_solve: optima, cuts and every merge
-  // counter agree, so stats-bearing reports serialize identically.
+  // End to end: the engine's solve against its colour pipelines run on the
+  // scalar kernel (tests/oracle/). Optima, cuts and every counter agree, so
+  // stats-bearing reports serialize identically.
   Rng rng(0x60D0);
   for (int trial = 0; trial < 30; ++trial) {
     TreeGenOptions o;
@@ -172,10 +147,8 @@ TEST(ParetoSimdKernel, FullSolvesAreByteIdenticalAcrossKernels) {
                                 : SensorPolicy::kScattered;
     const CruTree tree = random_tree(rng, o);
     const Colouring colouring(tree);
-    ParetoDpOptions scalar_opts;
-    scalar_opts.kernel = MinkowskiKernel::kScalar;
     const ParetoDpResult simd = pareto_dp_solve(colouring);
-    const ParetoDpResult scalar = pareto_dp_solve(colouring, scalar_opts);
+    const ParetoDpResult scalar = oracle::kernel_solve(colouring, {}, Kernel::kScalar);
     EXPECT_EQ(simd.objective, scalar.objective) << "trial " << trial;
     EXPECT_EQ(simd.assignment.cut_nodes(), scalar.assignment.cut_nodes()) << "trial " << trial;
     EXPECT_EQ(simd.stats.arena_bytes, scalar.stats.arena_bytes);
@@ -184,13 +157,15 @@ TEST(ParetoSimdKernel, FullSolvesAreByteIdenticalAcrossKernels) {
     EXPECT_EQ(simd.stats.merge_points_generated, scalar.stats.merge_points_generated);
     EXPECT_EQ(simd.stats.merge_points_kept, scalar.stats.merge_points_kept);
     EXPECT_EQ(simd.stats.candidates_swept, scalar.stats.candidates_swept);
+    EXPECT_EQ(simd.stats.max_region_frontier, scalar.stats.max_region_frontier);
+    EXPECT_EQ(simd.stats.max_colour_frontier, scalar.stats.max_colour_frontier);
   }
 }
 
 TEST(ParetoSimdKernel, ScratchReuseIsResultInvisible) {
-  // One ParetoScratch threaded through repeated region/merge calls must
-  // change nothing about the results -- only the allocator traffic, which
-  // the grown_bytes counter shows flattening once capacity is retained.
+  // One ParetoScratch threaded through repeated cached solves must change
+  // nothing about the results -- only the allocator traffic, which the
+  // grown_bytes counter shows flattening once capacity is retained.
   Rng rng(0x5C2A);
   TreeGenOptions o;
   o.compute_nodes = 24;
@@ -198,28 +173,24 @@ TEST(ParetoSimdKernel, ScratchReuseIsResultInvisible) {
   o.policy = SensorPolicy::kClustered;
   const CruTree tree = random_tree(rng, o);
   const Colouring colouring(tree);
+  const ParetoDpResult cold = pareto_dp_solve(colouring);
 
   ParetoScratch scratch;
   std::size_t grown_after_first = 0;
   for (int round = 0; round < 4; ++round) {
-    for (const CruId r : colouring.region_roots()) {
-      const auto pooled =
-          region_frontier(colouring, r, kBig, MinkowskiKernel::kSimd, &scratch);
-      const auto fresh = region_frontier(colouring, r, kBig);
-      expect_bitwise_equal(pooled, fresh, round);
-    }
+    FrontierCache cache;  // empty: every colour is built in the scratch
+    cache.begin(1);
+    const ParetoDpResult pooled = pareto_dp_solve(colouring, {}, &cache, &scratch);
+    EXPECT_EQ(pooled.objective, cold.objective) << "round " << round;
+    EXPECT_EQ(pooled.assignment.cut_nodes(), cold.assignment.cut_nodes()) << "round " << round;
+    EXPECT_EQ(pooled.stats.arena_bytes, cold.stats.arena_bytes) << "round " << round;
+    EXPECT_EQ(pooled.stats.minkowski_merges, cold.stats.minkowski_merges) << "round " << round;
     if (round == 0) grown_after_first = scratch.grown_bytes();
   }
   EXPECT_GT(scratch.served_bytes(), 0u);
   EXPECT_GT(scratch.retained_bytes(), 0u);
   // Re-solving identical content grows nothing after the first round.
   EXPECT_EQ(scratch.grown_bytes(), grown_after_first);
-
-  const std::vector<ParetoPoint> a = random_frontier(rng, 60, false);
-  const std::vector<ParetoPoint> b = random_frontier(rng, 60, false);
-  const auto pooled = minkowski_frontiers(a, b, kBig, MinkowskiKernel::kSimd, &scratch);
-  const auto fresh = minkowski_frontiers(a, b, kBig);
-  expect_bitwise_equal(pooled, fresh, -1);
 }
 
 // ---------------------------------------------------------------------------

@@ -120,10 +120,28 @@ TEST(SerializeRoundTrip, MalformedInputsAllThrowInvalidArgument) {
                                    "2 1 sensor T 0 0 1 0\n"},
       {"compute leaf", "cru_tree v1\n" + root + "1 0 compute A 1 1 1 -\n"},
       {"compute-only tree", "cru_tree v1\n" + root},
+      // Numbers are strict: std::stoul used to wrap "-667" into a 4-billion
+      // satellite id, which the next solve sized its colour vectors by.
+      {"negative satellite", "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 -667\n"},
+      {"signed satellite", "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 +3\n"},
+      {"satellite with junk suffix", "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 3x\n"},
+      {"satellite past the cap", "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 65536\n"},
+      {"satellite wrapping 32 bits",
+       "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 4294967301\n"},
+      {"negative parent", "cru_tree v1\n" + root + "1 -0 sensor S 0 0 1 0\n"},
+      {"signed id", "cru_tree v1\n+0 - compute Root 5 0 0 -\n"},
+      {"id with junk suffix", "cru_tree v1\n0z - compute Root 5 0 0 -\n"},
+      {"trailing token", "cru_tree v1\n" + root + "1 0 sensor S 0 0 1 0 extra\n"},
   };
   for (const Case& c : cases) {
     EXPECT_THROW((void)tree_from_text(c.text), InvalidArgument) << c.what;
   }
+}
+
+TEST(SerializeRoundTrip, SatelliteIdsUpToTheCapParse) {
+  const std::string text = "cru_tree v1\n0 - compute Root 5 0 0 -\n1 0 sensor S 0 0 1 " +
+                           std::to_string(CruTreeBuilder::kMaxSatelliteId) + "\n";
+  EXPECT_EQ(tree_from_text(text).satellite_count(), CruTreeBuilder::kMaxSatelliteId + 1);
 }
 
 TEST(SerializeRoundTrip, WhitespaceNamesAreRejectedOnWrite) {

@@ -227,6 +227,43 @@ TEST(Service, ErrorTaxonomyKeepsServing) {
       "\"path\":\"cached\"");
 }
 
+TEST(Service, OutOfRangeSatelliteIdsGetTypedErrors) {
+  // The golden trace's first submit with one sensor's satellite mutated to
+  // "-667": std::stoul used to wrap it, admit a 2-node tree as 4 billion
+  // satellites, and let the next solve die in bad_alloc.
+  SolverService service(parse_service_config("shards=1"));
+  const std::string mutated =
+      "{\"op\":\"submit\",\"tenant\":\"t0\",\"instance\":\"w0\",\"tree\":\"cru_tree v1\\n"
+      "0 - compute seizure_estimator 0.0125 0 0 -\\n"
+      "1 0 sensor ecg 0 0 0.03 -667\\n\"}";
+  const std::string rejected = service.handle_line(mutated);
+  EXPECT_CONTAINS(rejected, "\"ok\":false");
+  EXPECT_CONTAINS(rejected, "bad satellite '-667'");
+
+  // A probe naming a satellite past the builder's cap is rejected the same
+  // way, and the session keeps serving its previous instance.
+  static_cast<void>(service.handle_line(submit_line("t0", "w0", paper_running_example())));
+  static_cast<void>(
+      service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"));
+  const std::string probe = service.handle_line(
+      "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\",\"kind\":\"insert_probe\","
+      "\"parent\":\"" + paper_running_example().node(CruId{0u}).name +
+      "\",\"name\":\"far_probe\",\"satellite\":" +
+      std::to_string(CruTreeBuilder::kMaxSatelliteId + 1) + "}");
+  EXPECT_CONTAINS(probe, "\"ok\":false");
+  EXPECT_CONTAINS(probe, "exceeds the cap");
+  // 2^32 + 1 must not wrap to satellite 1 on its way to the cap check.
+  const std::string wrapped = service.handle_line(
+      "{\"op\":\"perturb\",\"tenant\":\"t0\",\"instance\":\"w0\",\"kind\":\"insert_probe\","
+      "\"parent\":\"" + paper_running_example().node(CruId{0u}).name +
+      "\",\"name\":\"far_probe\",\"satellite\":4294967297}");
+  EXPECT_CONTAINS(wrapped, "\"ok\":false");
+  EXPECT_CONTAINS(wrapped, "does not fit a 32-bit id");
+  EXPECT_CONTAINS(
+      service.handle_line("{\"op\":\"solve\",\"tenant\":\"t0\",\"instance\":\"w0\"}"),
+      "\"ok\":true");
+}
+
 TEST(Service, AdmissionRejectsOversizedInstances) {
   ServiceOptions options = parse_service_config("mem_budget=1k,fail_fast=false");
   SolverService service(options);

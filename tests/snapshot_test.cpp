@@ -12,6 +12,10 @@
 //     with a descriptive InvalidArgument, never a crash or a half-decoded
 //     state (this suite rides in ci.sh's TSan stage with the service
 //     suites);
+//   * cross-build compatibility -- a snapshot written by an earlier build
+//     (tests/golden/session_v1.tss: a drifted session, both caches
+//     populated) restores, re-encodes byte for byte, and warm-resolves to
+//     the cold optimum;
 //   * the token codec and file IO edges (atomic write, missing paths).
 #include <gtest/gtest.h>
 
@@ -121,6 +125,33 @@ TEST(SnapshotRoundTrip, SnapshotBytesAreDeterministic) {
             encode_snapshot(session.export_state()));
 }
 
+TEST(SnapshotRoundTrip, SnapshotWrittenByAnEarlierBuildRestores) {
+  // Written by the build that still stored cache entries as point vectors
+  // with per-point cut vectors; the v1 format never changed, so today's
+  // structure-of-arrays caches must read it and write it back unchanged.
+  const std::string bytes = read_file_bytes(TREESAT_SOURCE_DIR "/tests/golden/session_v1.tss");
+  const SessionState state = decode_snapshot(bytes);
+  ASSERT_FALSE(state.colour_cache.empty());
+  ASSERT_FALSE(state.region_cache.empty());
+  ResolveSession restored = ResolveSession::import_state(state);
+  EXPECT_EQ(encode_snapshot(restored.export_state()), bytes);
+
+  // Its next warm resolve is a cold solve: a probe under one region's root
+  // leaves every other region's cached frontier reusable.
+  const CruTree& tree = restored.tree();
+  const CruId attach = restored.colouring().region_roots().front();
+  const CruId parent = tree.node(attach).is_sensor() ? tree.root() : attach;
+  restored.resolve(Perturbation::insert_probe(parent, "cross_build_probe", SatelliteId{0u}, 0.5,
+                                              0.25, 0.125, 0.0625));
+  EXPECT_EQ(restored.last_stats().path, ResolvePath::kWarm);
+  EXPECT_GT(restored.last_stats().regions_reused, 0u);
+  const Colouring cold_colouring(restored.tree());
+  const ParetoDpResult cold = pareto_dp_solve(cold_colouring);
+  const SolveReport& warm = restored.current();
+  EXPECT_EQ(std::memcmp(&warm.objective_value, &cold.objective, sizeof(double)), 0);
+  EXPECT_EQ(warm.assignment.cut_nodes(), cold.assignment.cut_nodes());
+}
+
 TEST(SnapshotRoundTrip, TreeOnlyStateRoundTrips) {
   // A submitted-but-never-solved instance spills as a tree-only snapshot.
   SessionState state;
@@ -195,6 +226,24 @@ TEST(SnapshotCorruption, HashVersionAndMagicAreVerified) {
     bad[bytes.size() - 2] ^= 1;
     EXPECT_THROW(static_cast<void>(decode_snapshot(bad)), InvalidArgument);
   }
+  // The hash is checked in the same pass as the parse, so corrupt frontier
+  // points must still report as a hash mismatch -- both a byte that keeps
+  // the line parseable (a cut delta digit) and one that does not.
+  {
+    const std::size_t point = bytes.find("\npoint ");
+    ASSERT_NE(point, std::string::npos);
+    const std::size_t last_digit = bytes.find('\n', point + 1) - 1;
+    for (const char replacement : {bytes[last_digit] == '1' ? '2' : '1', 'x'}) {
+      std::string bad = bytes;
+      bad[last_digit] = replacement;
+      try {
+        static_cast<void>(decode_snapshot(bad));
+        FAIL() << "corrupt point line decoded";
+      } catch (const InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("hash mismatch"), std::string::npos) << e.what();
+      }
+    }
+  }
   // Unsupported version.
   {
     std::string bad = bytes;
@@ -245,8 +294,10 @@ TEST(SnapshotCorruption, HashValidButBrokenPayloadsAreRejected) {
   // Raw payload tampering, re-framed with a *correct* hash: the line-level
   // parser rejects it.
   const std::string bytes = encode_snapshot(good);
-  const std::string_view payload =
-      unframe_payload("treesat_snapshot", "v1", bytes, "snapshot");
+  std::string_view payload = bytes;
+  for (int header_line = 0; header_line < 3; ++header_line) {
+    payload.remove_prefix(payload.find('\n') + 1);
+  }
   {
     std::string broken(payload);
     broken.replace(broken.find("attempt "), 8, "attempt x");
@@ -261,6 +312,24 @@ TEST(SnapshotCorruption, HashValidButBrokenPayloadsAreRejected) {
                      frame_payload("treesat_snapshot", "v1", broken))),
                  InvalidArgument);
   }
+  // One bad byte in a hex coordinate or a cut delta, each named by the
+  // parser rather than decoded as some other number.
+  const auto rejects_byte = [&payload](std::size_t at, char byte, const std::string& why) {
+    std::string broken(payload);
+    broken[at] = byte;
+    try {
+      static_cast<void>(decode_snapshot(frame_payload("treesat_snapshot", "v1", broken)));
+      ADD_FAILURE() << "accepted '" << byte << "' at " << at;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+    }
+  };
+  const std::size_t point = payload.find("\npoint ") + 7;  // first load coordinate
+  ASSERT_NE(point, std::string_view::npos + 7);
+  for (const char byte : {'A', 'g', '/', ':', '`'}) rejects_byte(point, byte, "not lowercase hex");
+  const std::size_t cut = payload.find(' ', point + 34) + 1;  // after "load host count"
+  ASSERT_GT(payload.find('\n', point), cut);
+  rejects_byte(cut, 'x', "not a number");
 }
 
 TEST(SnapshotFiles, AtomicWriteAndStrictRead) {
